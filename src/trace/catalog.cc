@@ -102,7 +102,7 @@ WorkloadCatalog::addTraceDir(const std::string &dir)
 
     std::size_t added = 0;
     for (const auto &p : files) {
-        TraceFileInfo info;
+        TraceHeader info;
         if (!readTraceHeader(p.string(), info)) {
             const std::string msg =
                 "skipping invalid trace file " + p.string();

@@ -1,12 +1,11 @@
 /**
  * @file
- * Trace-decode failure contract, shared by the on-disk reader
- * (FileTraceSource) and the live-stream frame parser
- * (StreamingTraceSource). Both decode the same varint record
- * encoding, and both can be handed bytes that end mid-record — a
- * copy that died partway, a producer SIGKILLed mid-frame — so they
- * raise the same named exception instead of whatever the varint
- * decoder happens to do at the missing byte.
+ * Trace-decode failure contract of the record codec and every
+ * reader built on it (FileTraceSource, StreamingTraceSource, the
+ * native importer). Any of them can be handed bytes that end
+ * mid-record — a copy that died partway, a producer SIGKILLed
+ * mid-frame — or garbage, and each raises one of these two named
+ * exceptions instead of exiting.
  *
  * Both types derive from std::runtime_error, so the CLI's existing
  * catch-all maps them to exit code 1 with the message printed; the

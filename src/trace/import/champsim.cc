@@ -18,20 +18,11 @@ struct Record
     std::uint8_t src[4] = {};
 };
 
-std::uint64_t
-loadU64(const std::uint8_t *b)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    return v;
-}
-
 Record
 decode(const std::uint8_t *raw)
 {
     Record r;
-    r.ip = loadU64(raw);
+    r.ip = loadLE<std::uint64_t>(raw);
     r.isBranch = raw[8] != 0;
     r.taken = raw[9] != 0;
     std::memcpy(r.dst, raw + 10, sizeof(r.dst));

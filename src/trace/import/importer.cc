@@ -1,9 +1,10 @@
 #include "trace/import/importer.hh"
 
 #include <cstdio>
-#include <cstring>
+#include <sstream>
 
 #include "common/logging.hh"
+#include "trace/errors.hh"
 #include "trace/import/champsim.hh"
 #include "trace/import/qemu.hh"
 
@@ -14,30 +15,12 @@ namespace {
 /** Bytes of stream head offered to probes. */
 constexpr std::size_t kProbeBytes = 4096;
 
-std::uint16_t
-loadU16(const std::uint8_t *b)
-{
-    return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-}
-
-std::uint32_t
-loadU32(const std::uint8_t *b)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-    return v;
-}
-
 /**
  * Native `.acictrace` re-encoder: streams an existing container
  * (possibly gzip-compressed) through decode/append. Gives
  * `acic_run import` an identity path — re-framing, decompressing, or
- * upgrading traces — and preserves the stored workload name.
- *
- * The record decode intentionally mirrors FileTraceSource (which is
- * seek-based and cannot read compressed streams); the pairing is
- * pinned by NativeImport.ReencodePreservesStreamAndName.
+ * upgrading traces — and preserves the stored workload name. Header
+ * and records decode through the shared codec (trace/codec.hh).
  */
 class NativeImporter : public TraceImporter
 {
@@ -48,88 +31,37 @@ class NativeImporter : public TraceImporter
                bool complete) const override
     {
         (void)complete;
-        return n >= 4 && loadU32(head) == TraceFormat::kMagic;
+        return n >= 4 &&
+               loadLE<std::uint32_t>(head) == TraceFormat::kMagic;
     }
 
     std::string sniffName(InputStream &in) const override
     {
         const std::uint8_t *head = nullptr;
         const std::size_t n = in.peek(head, kProbeBytes);
-        if (n < 20 || loadU32(head) != TraceFormat::kMagic)
+        std::istringstream bytes(
+            std::string(reinterpret_cast<const char *>(head), n));
+        try {
+            return decodeTraceHeader(readFrom(bytes), in.path()).name;
+        } catch (const TraceFormatError &) {
             return "";
-        const std::uint32_t name_len = loadU32(head + 16);
-        if (name_len > n - 20)
-            return "";
-        return std::string(
-            reinterpret_cast<const char *>(head + 20), name_len);
+        }
     }
 
     std::uint64_t convert(InputStream &in,
                           TraceWriter &out) const override
     {
-        std::uint8_t header[20];
-        if (in.read(header, sizeof(header)) != sizeof(header) ||
-            loadU32(header) != TraceFormat::kMagic)
-            ACIC_FATAL("not an ACIC trace (bad magic)");
-        const std::uint16_t version = loadU16(header + 4);
-        if (version < TraceFormat::kMinVersion ||
-            version > TraceFormat::kVersion)
-            ACIC_FATAL("unsupported trace-format version");
-        const std::uint64_t count =
-            static_cast<std::uint64_t>(loadU32(header + 8)) |
-            (static_cast<std::uint64_t>(loadU32(header + 12))
-             << 32);
-        const std::uint32_t name_len = loadU32(header + 16);
-        if (name_len > (1u << 20))
-            ACIC_FATAL("corrupt trace header");
-        std::string name(name_len, '\0');
-        if (in.read(name.data(), name_len) != name_len)
-            ACIC_FATAL("truncated trace header");
-
-        Addr prev_next = 0;
-        for (std::uint64_t i = 0; i < count; ++i) {
-            std::uint8_t tag = 0;
-            if (in.read(&tag, 1) != 1)
-                ACIC_FATAL("trace shorter than its header count");
-            const auto kind_raw = tag & TraceFormat::kKindMask;
-            if (kind_raw >
-                static_cast<std::uint8_t>(BranchKind::Return))
-                ACIC_FATAL("corrupt trace record (bad branch kind)");
-            TraceInst inst;
-            inst.kind = static_cast<BranchKind>(kind_raw);
-            inst.taken = (tag & TraceFormat::kTakenBit) != 0;
-            if (tag & TraceFormat::kLinkedBit)
-                inst.pc = prev_next;
-            else
-                inst.pc = prev_next +
-                          static_cast<Addr>(
-                              zigzagDecode(getVarint(in)));
-            const Addr seq_next = inst.pc + TraceInst::kInstBytes;
-            if (tag & TraceFormat::kSequentialBit)
-                inst.nextPc = seq_next;
-            else
-                inst.nextPc = seq_next +
-                              static_cast<Addr>(
-                                  zigzagDecode(getVarint(in)));
-            prev_next = inst.nextPc;
-            out.append(inst);
-        }
+        const ByteRead read = [&in](void *dst, std::size_t n) {
+            return in.read(dst, n);
+        };
+        const TraceHeader header = decodeTraceHeader(read, in.path());
+        RecordReader reader(read, in.path(), header.bytes(),
+                            header.instructions);
+        std::uint64_t n = 0;
+        while (const TraceInst *run = reader.acquire(~std::uint64_t{0}, n))
+            for (std::uint64_t i = 0; i < n; ++i)
+                out.append(run[i]);
         return out.written();
-    }
-
-  private:
-    static std::uint64_t getVarint(InputStream &in)
-    {
-        std::uint64_t v = 0;
-        unsigned shift = 0;
-        std::uint8_t b = 0;
-        do {
-            if (in.read(&b, 1) != 1 || shift > 63)
-                ACIC_FATAL("truncated or corrupt trace record");
-            v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-            shift += 7;
-        } while (b & 0x80);
-        return v;
     }
 };
 
@@ -213,7 +145,13 @@ importTraceFile(const std::string &in_path,
     // behind under the real name for catalog scans to pick up.
     const std::string tmp_path = out_path + ".tmp";
     TraceWriter writer(tmp_path, name);
-    importer->convert(in, writer);
+    try {
+        importer->convert(in, writer);
+    } catch (...) {
+        writer.close();
+        std::remove(tmp_path.c_str());
+        throw;
+    }
     writer.close();
     if (std::rename(tmp_path.c_str(), out_path.c_str()) != 0)
         ACIC_FATAL("cannot move finished trace into place");

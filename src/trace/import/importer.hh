@@ -1,7 +1,7 @@
 /**
  * @file
  * Pluggable trace ingestion: a TraceImporter converts one external
- * instruction-trace format into the native `.acictrace` v1 container
+ * instruction-trace format into the native `.acictrace` container
  * (DESIGN.md section 2), after which everything downstream — oracle,
  * schemes, experiment driver — works unchanged.
  *
@@ -53,7 +53,7 @@ class TraceImporter
 
     /**
      * Read every instruction from @p in and append it to @p out.
-     * ACIC_FATALs on malformed input naming the offending position.
+     * Rejects malformed input, naming the offending position.
      * @return instructions converted.
      */
     virtual std::uint64_t convert(InputStream &in,
@@ -119,8 +119,8 @@ std::string workloadNameForPath(const std::string &path);
 /**
  * Convert @p in_path (any supported format, optionally gzipped) into
  * the `.acictrace` file @p out_path. The implementation of
- * `acic_run import`; ACIC_FATALs on unknown formats or malformed
- * input.
+ * `acic_run import`; ACIC_FATALs on unknown formats and rejects
+ * malformed input as convert() does, leaving no output file behind.
  */
 ImportSummary importTraceFile(const std::string &in_path,
                               const std::string &out_path,

@@ -1,7 +1,5 @@
 #include "trace/io.hh"
 
-#include <cstring>
-
 #include "common/logging.hh"
 #include "trace/errors.hh"
 
@@ -9,58 +7,16 @@ namespace acic {
 
 namespace {
 
-/** Buffer size for both writer and reader (1 MiB). */
+/** Writer buffer size (1 MiB). */
 constexpr std::size_t kBufBytes = 1u << 20;
 
-void
-putU16(std::vector<std::uint8_t> &buf, std::uint16_t v)
+/** The header of trace file @p in, opened from @p path. */
+TraceHeader
+openedHeader(std::ifstream &in, const std::string &path)
 {
-    buf.push_back(static_cast<std::uint8_t>(v));
-    buf.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void
-putU32(std::vector<std::uint8_t> &buf, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<std::uint8_t> &buf, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint16_t
-readU16(std::istream &in)
-{
-    std::uint8_t b[2];
-    in.read(reinterpret_cast<char *>(b), 2);
-    return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-}
-
-std::uint32_t
-readU32(std::istream &in)
-{
-    std::uint8_t b[4];
-    in.read(reinterpret_cast<char *>(b), 4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-readU64(std::istream &in)
-{
-    std::uint8_t b[8];
-    in.read(reinterpret_cast<char *>(b), 8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    return v;
+    if (!in)
+        ACIC_FATAL("cannot open trace file for reading");
+    return decodeTraceHeader(readFrom(in), path);
 }
 
 } // namespace
@@ -70,7 +26,7 @@ readU64(std::istream &in)
 TraceWriter::TraceWriter(const std::string &path,
                          const std::string &name,
                          std::uint64_t index_interval)
-    : out_(path, std::ios::binary | std::ios::trunc), path_(path),
+    : out_(path, std::ios::binary | std::ios::trunc),
       indexInterval_(index_interval)
 {
     if (!out_)
@@ -83,48 +39,16 @@ TraceWriter::TraceWriter(const std::string &path,
         ACIC_FATAL("trace output is not seekable (the instruction "
                    "count is patched into the header on close); "
                    "write to a regular file");
-    buf_.reserve(kBufBytes + 32);
-    putU32(buf_, TraceFormat::kMagic);
-    putU16(buf_, TraceFormat::kVersion);
-    putU16(buf_, 0); // flags
-    putU64(buf_, 0); // count placeholder, patched by close()
-    putU32(buf_, static_cast<std::uint32_t>(name.size()));
-    for (const char c : name)
-        buf_.push_back(static_cast<std::uint8_t>(c));
+    buf_.reserve(kBufBytes + TraceFormat::kMaxRecordBytes);
+    encodeTraceHeader(name, buf_);
     headerBytes_ = buf_.size();
     open_ = true;
-}
-
-std::uint64_t
-TraceWriter::bytesOut() const
-{
-    return flushedBytes_ + buf_.size();
 }
 
 TraceWriter::~TraceWriter()
 {
     if (open_)
         close();
-}
-
-void
-TraceWriter::putByte(std::uint8_t b)
-{
-    buf_.push_back(b);
-    if (buf_.size() >= kBufBytes)
-        flush();
-}
-
-void
-TraceWriter::putVarint(std::uint64_t v)
-{
-    while (v >= 0x80) {
-        buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    buf_.push_back(static_cast<std::uint8_t>(v));
-    if (buf_.size() >= kBufBytes)
-        flush();
 }
 
 void
@@ -148,31 +72,13 @@ TraceWriter::append(const TraceInst &inst)
     if (indexInterval_ > 0 && count_ > 0 &&
         count_ % indexInterval_ == 0) {
         checkpoints_.push_back(
-            {bytesOut() - headerBytes_, prevNext_});
+            {flushedBytes_ + buf_.size() - headerBytes_,
+             codec_.prevNext()});
     }
-    const bool linked = inst.pc == prevNext_;
-    const Addr seq_next = inst.pc + TraceInst::kInstBytes;
-    const bool sequential = inst.nextPc == seq_next;
-
-    std::uint8_t tag = static_cast<std::uint8_t>(inst.kind) &
-                       TraceFormat::kKindMask;
-    if (inst.taken)
-        tag |= TraceFormat::kTakenBit;
-    if (linked)
-        tag |= TraceFormat::kLinkedBit;
-    if (sequential)
-        tag |= TraceFormat::kSequentialBit;
-    putByte(tag);
-
-    if (!linked)
-        putVarint(zigzagEncode(static_cast<std::int64_t>(
-            inst.pc - prevNext_)));
-    if (!sequential)
-        putVarint(zigzagEncode(static_cast<std::int64_t>(
-            inst.nextPc - seq_next)));
-
-    prevNext_ = inst.nextPc;
+    codec_.encode(inst, buf_);
     ++count_;
+    if (buf_.size() >= kBufBytes)
+        flush();
 }
 
 void
@@ -186,21 +92,20 @@ TraceWriter::close()
         // Index footer: checkpoints, then the fixed trailer readers
         // locate from the end of the file.
         for (const TraceCheckpoint &cp : checkpoints_) {
-            putU64(buf_, cp.offset);
-            putU64(buf_, cp.prevNext);
+            putLE<std::uint64_t>(buf_, cp.offset);
+            putLE<std::uint64_t>(buf_, cp.prevNext);
         }
-        putU64(buf_, indexInterval_);
-        putU32(buf_,
-               static_cast<std::uint32_t>(checkpoints_.size()));
-        putU32(buf_, TraceFormat::kIndexMagic);
+        putLE<std::uint64_t>(buf_, indexInterval_);
+        putLE<std::uint32_t>(buf_, checkpoints_.size());
+        putLE<std::uint32_t>(buf_, TraceFormat::kIndexMagic);
         flush();
         flags |= TraceFormat::kFlagHasIndex;
     }
     // Patch the flags and the instruction count into the header.
     out_.seekp(6);
     std::vector<std::uint8_t> patch;
-    putU16(patch, flags);
-    putU64(patch, count_);
+    putLE<std::uint16_t>(patch, flags);
+    putLE<std::uint64_t>(patch, count_);
     out_.write(reinterpret_cast<const char *>(patch.data()),
                static_cast<std::streamsize>(patch.size()));
     out_.close();
@@ -212,326 +117,95 @@ TraceWriter::close()
 // -------------------------------------------------------- FileTraceSource
 
 FileTraceSource::FileTraceSource(const std::string &path)
-    : in_(path, std::ios::binary), path_(path)
+    : in_(path, std::ios::binary), path_(path),
+      header_(openedHeader(in_, path)),
+      reader_(readFrom(in_), path, header_.bytes(),
+              header_.instructions)
 {
-    if (!in_)
-        ACIC_FATAL("cannot open trace file for reading");
-    if (readU32(in_) != TraceFormat::kMagic)
-        ACIC_FATAL("not an ACIC trace (bad magic)");
-    version_ = readU16(in_);
-    if (version_ < TraceFormat::kMinVersion ||
-        version_ > TraceFormat::kVersion)
-        ACIC_FATAL("unsupported trace-format version");
-    const std::uint16_t flags = readU16(in_);
-    count_ = readU64(in_);
-    const std::uint32_t name_len = readU32(in_);
-    if (!in_ || name_len > (1u << 20))
-        ACIC_FATAL("corrupt trace header");
-    name_.resize(name_len);
-    in_.read(name_.data(), name_len);
-    if (!in_)
-        ACIC_FATAL("truncated trace header");
-    payloadOff_ = in_.tellg();
-    buf_.resize(kBufBytes);
-    if (version_ >= 2 && (flags & TraceFormat::kFlagHasIndex))
+    if (header_.version >= 2 &&
+        (header_.flags & TraceFormat::kFlagHasIndex))
         loadIndexFooter();
+    reset();
 }
 
 void
 FileTraceSource::loadIndexFooter()
 {
-    in_.seekg(-static_cast<std::streamoff>(
-                  TraceFormat::kTrailerBytes),
-              std::ios::end);
-    const std::streamoff trailer_off = in_.tellg();
-    const std::uint64_t interval = readU64(in_);
-    const std::uint32_t n_checkpoints = readU32(in_);
-    const std::uint32_t magic = readU32(in_);
-    if (!in_ || magic != TraceFormat::kIndexMagic || interval == 0)
-        ACIC_FATAL("corrupt trace index footer");
-    const std::streamoff index_off =
-        trailer_off -
-        static_cast<std::streamoff>(n_checkpoints *
-                                    TraceFormat::kCheckpointBytes);
-    if (index_off < payloadOff_)
-        ACIC_FATAL("corrupt trace index footer");
-    in_.seekg(index_off);
+    // The trailer is the last 16 bytes; the checkpoints precede it.
+    in_.clear();
+    in_.seekg(0, std::ios::end);
+    const auto file_bytes = static_cast<std::uint64_t>(in_.tellg());
+    const std::uint64_t payload = header_.bytes();
+    std::uint8_t trailer[TraceFormat::kTrailerBytes];
+    if (file_bytes < payload + sizeof(trailer))
+        throw TraceTruncatedError(
+            path_ + ": index footer announced but missing", file_bytes,
+            sizeof(trailer), file_bytes - payload);
+    const std::uint64_t trailer_off = file_bytes - sizeof(trailer);
+    const ByteRead read = readFrom(in_);
+    in_.seekg(static_cast<std::streamoff>(trailer_off));
+    read(trailer, sizeof(trailer));
+    const auto interval = loadLE<std::uint64_t>(trailer);
+    const auto n_checkpoints = loadLE<std::uint32_t>(trailer + 8);
+    const std::uint64_t index_bytes =
+        std::uint64_t{n_checkpoints} * TraceFormat::kCheckpointBytes;
+    if (loadLE<std::uint32_t>(trailer + 12) !=
+            TraceFormat::kIndexMagic ||
+        interval == 0 || trailer_off - payload < index_bytes)
+        throw TraceFormatError(
+            path_ + ": corrupt trace index footer (interval " +
+                std::to_string(interval) + ", " +
+                std::to_string(n_checkpoints) + " checkpoints)",
+            trailer_off);
+    in_.seekg(static_cast<std::streamoff>(trailer_off - index_bytes));
     checkpoints_.resize(n_checkpoints);
     for (TraceCheckpoint &cp : checkpoints_) {
-        cp.offset = readU64(in_);
-        cp.prevNext = readU64(in_);
+        std::uint8_t entry[TraceFormat::kCheckpointBytes];
+        read(entry, sizeof(entry));
+        cp = {loadLE<std::uint64_t>(entry),
+              loadLE<std::uint64_t>(entry + 8)};
     }
-    if (!in_)
-        ACIC_FATAL("truncated trace index footer");
     indexInterval_ = interval;
-    in_.seekg(payloadOff_);
 }
 
-void
-FileTraceSource::seekToInstruction(std::uint64_t index)
+bool
+FileTraceSource::seekTo(std::uint64_t index)
 {
-    if (index > count_)
-        index = count_;
+    if (index > header_.instructions)
+        return false;
     // Nearest preceding checkpoint (checkpoint j sits at instruction
     // j * interval; the payload start is the implicit checkpoint 0).
     std::uint64_t cp_idx =
         indexInterval_ > 0 ? index / indexInterval_ : 0;
     if (cp_idx > checkpoints_.size())
         cp_idx = checkpoints_.size();
-    if (cp_idx == 0) {
-        reset();
-    } else {
-        const TraceCheckpoint &cp = checkpoints_[cp_idx - 1];
-        in_.clear();
-        in_.seekg(payloadOff_ +
-                  static_cast<std::streamoff>(cp.offset));
-        bufPos_ = bufEnd_ = 0;
-        bufBase_ = cp.offset;
-        prevNext_ = cp.prevNext;
-        emitted_ = cp_idx * indexInterval_;
-    }
-    TraceInst scratch;
-    while (emitted_ < index && next(scratch)) {
-    }
-}
-
-void
-FileTraceSource::reset()
-{
+    const TraceCheckpoint cp =
+        cp_idx == 0 ? TraceCheckpoint{} : checkpoints_[cp_idx - 1];
+    const std::uint64_t offset = header_.bytes() + cp.offset;
     in_.clear();
-    in_.seekg(payloadOff_);
-    bufPos_ = bufEnd_ = 0;
-    bufBase_ = 0;
-    prevNext_ = 0;
-    emitted_ = 0;
-}
-
-bool
-FileTraceSource::getByte(std::uint8_t &b)
-{
-    if (bufPos_ == bufEnd_) {
-        bufBase_ += bufEnd_;
-        in_.read(reinterpret_cast<char *>(buf_.data()),
-                 static_cast<std::streamsize>(buf_.size()));
-        bufEnd_ = static_cast<std::size_t>(in_.gcount());
-        bufPos_ = 0;
-        if (bufEnd_ == 0)
-            return false;
+    in_.seekg(static_cast<std::streamoff>(offset));
+    reader_.restart(offset, cp.prevNext, cp_idx * indexInterval_);
+    for (std::uint64_t left = index - cp_idx * indexInterval_;
+         left > 0;) {
+        std::uint64_t n = 0;
+        reader_.acquire(left, n);
+        left -= n;
     }
-    b = buf_[bufPos_++];
-    return true;
-}
-
-std::uint64_t
-FileTraceSource::getVarint()
-{
-    std::uint64_t v = 0;
-    unsigned shift = 0;
-    std::uint8_t b = 0;
-    do {
-        if (shift > 63)
-            throw TraceFormatError(
-                path_ + ": corrupt trace record (runaway varint "
-                        "continuation in record " +
-                    std::to_string(emitted_) + " of " +
-                    std::to_string(count_) + ")",
-                byteOffset());
-        if (!getByte(b))
-            throw TraceTruncatedError(
-                path_ + ": trace truncated mid-record (record " +
-                    std::to_string(emitted_) + " of " +
-                    std::to_string(count_) + ")",
-                byteOffset(), 1, 0);
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        shift += 7;
-    } while (b & 0x80);
-    return v;
-}
-
-void
-FileTraceSource::refillBuffer()
-{
-    const std::size_t leftover = bufEnd_ - bufPos_;
-    if (leftover > 0 && bufPos_ > 0)
-        std::memmove(buf_.data(), buf_.data() + bufPos_, leftover);
-    bufBase_ += bufPos_;
-    bufPos_ = 0;
-    bufEnd_ = leftover;
-    // A previous short read may have latched eofbit; clear it so the
-    // stream accepts another read (position is unaffected). At true
-    // EOF the read simply returns 0 bytes again.
-    in_.clear();
-    in_.read(reinterpret_cast<char *>(buf_.data()) + bufEnd_,
-             static_cast<std::streamsize>(buf_.size() - bufEnd_));
-    bufEnd_ += static_cast<std::size_t>(in_.gcount());
-}
-
-namespace {
-
-/** Worst-case encoded record: tag byte + two 10-byte varints. */
-constexpr std::size_t kMaxRecordBytes = 21;
-
-/** Pointer-decode one varint; throws TraceFormatError on a runaway
- *  (corrupt) chain, which also bounds the bytes consumed to
- *  kMaxRecordBytes. @p base_abs is the absolute file offset of
- *  @p buf_start, so the error pinpoints the bad byte. */
-inline std::uint64_t
-takeVarint(const std::uint8_t *&p, const std::uint8_t *buf_start,
-           std::uint64_t base_abs)
-{
-    std::uint64_t v = 0;
-    unsigned shift = 0;
-    std::uint8_t b;
-    do {
-        if (shift > 63)
-            throw TraceFormatError(
-                "corrupt trace record (runaway varint continuation)",
-                base_abs + static_cast<std::uint64_t>(p - buf_start));
-        b = *p++;
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        shift += 7;
-    } while (b & 0x80);
-    return v;
-}
-
-} // namespace
-
-unsigned
-FileTraceSource::decodeBatch(InstBatch &out)
-{
-    out.count = 0;
-    const std::uint64_t remaining = count_ - emitted_;
-    const unsigned target =
-        remaining < InstBatch::kCapacity
-            ? static_cast<unsigned>(remaining)
-            : InstBatch::kCapacity;
-    if (target == 0)
-        return 0;
-
-    if (bufEnd_ - bufPos_ < target * kMaxRecordBytes)
-        refillBuffer();
-    if (bufEnd_ - bufPos_ < target * kMaxRecordBytes) {
-        // Near EOF the buffer holds everything left of the file,
-        // which can be less than a worst-case batch even though all
-        // `target` records are present (typical records are ~1 byte).
-        // The bounds-checked scalar path handles this tail.
-        TraceInst inst;
-        while (out.count < target && next(inst))
-            out.set(out.count++, inst);
-        return out.count;
-    }
-
-    // Fast path: the buffer provably holds a worst-case batch, so
-    // decode with a raw pointer and no per-byte checks. takeVarint
-    // throws on malformed chains, which caps every record at
-    // kMaxRecordBytes — the pointer cannot run off the buffer.
-    const std::uint8_t *const base = buf_.data();
-    const std::uint64_t base_abs =
-        static_cast<std::uint64_t>(payloadOff_) + bufBase_;
-    const std::uint8_t *p = base + bufPos_;
-    Addr prev = prevNext_;
-    for (unsigned i = 0; i < target; ++i) {
-        const std::uint8_t tag = *p++;
-        const auto kind_raw = tag & TraceFormat::kKindMask;
-        if (kind_raw > static_cast<std::uint8_t>(BranchKind::Return))
-            throw TraceFormatError(
-                path_ + ": corrupt trace record (bad branch kind " +
-                    std::to_string(kind_raw) + " in record " +
-                    std::to_string(emitted_ + i) + " of " +
-                    std::to_string(count_) + ")",
-                base_abs + static_cast<std::uint64_t>(p - 1 - base));
-        out.kind[i] = static_cast<BranchKind>(kind_raw);
-        out.taken[i] = (tag & TraceFormat::kTakenBit) != 0;
-
-        Addr pc = prev;
-        if (!(tag & TraceFormat::kLinkedBit))
-            pc += static_cast<Addr>(
-                zigzagDecode(takeVarint(p, base, base_abs)));
-        Addr next_pc = pc + TraceInst::kInstBytes;
-        if (!(tag & TraceFormat::kSequentialBit))
-            next_pc += static_cast<Addr>(
-                zigzagDecode(takeVarint(p, base, base_abs)));
-        out.pc[i] = pc;
-        out.nextPc[i] = next_pc;
-        prev = next_pc;
-    }
-    bufPos_ = static_cast<std::size_t>(p - buf_.data());
-    prevNext_ = prev;
-    emitted_ += target;
-    out.count = target;
-    return target;
-}
-
-bool
-FileTraceSource::next(TraceInst &out)
-{
-    if (emitted_ >= count_)
-        return false;
-    std::uint8_t tag = 0;
-    if (!getByte(tag))
-        throw TraceTruncatedError(
-            path_ + ": trace shorter than its header count (file "
-                    "ends before record " +
-                std::to_string(emitted_) + " of " +
-                std::to_string(count_) + ")",
-            byteOffset(), 1, 0);
-    const auto kind_raw = tag & TraceFormat::kKindMask;
-    if (kind_raw > static_cast<std::uint8_t>(BranchKind::Return))
-        throw TraceFormatError(
-            path_ + ": corrupt trace record (bad branch kind " +
-                std::to_string(kind_raw) + " in record " +
-                std::to_string(emitted_) + " of " +
-                std::to_string(count_) + ")",
-            byteOffset() - 1);
-    out.kind = static_cast<BranchKind>(kind_raw);
-    out.taken = (tag & TraceFormat::kTakenBit) != 0;
-
-    if (tag & TraceFormat::kLinkedBit)
-        out.pc = prevNext_;
-    else
-        out.pc = prevNext_ + static_cast<Addr>(
-                                 zigzagDecode(getVarint()));
-
-    const Addr seq_next = out.pc + TraceInst::kInstBytes;
-    if (tag & TraceFormat::kSequentialBit)
-        out.nextPc = seq_next;
-    else
-        out.nextPc = seq_next + static_cast<Addr>(
-                                    zigzagDecode(getVarint()));
-
-    prevNext_ = out.nextPc;
-    ++emitted_;
     return true;
 }
 
 // ------------------------------------------------------------- free funcs
 
 bool
-readTraceHeader(const std::string &path, TraceFileInfo &out)
+readTraceHeader(const std::string &path, TraceHeader &out)
 {
     std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    if (readU32(in) != TraceFormat::kMagic || !in)
-        return false;
-    TraceFileInfo info;
-    info.version = readU16(in);
-    // Reject unsupported versions here so directory scans skip the
-    // file up front instead of fataling when it is later opened.
-    if (info.version < TraceFormat::kMinVersion ||
-        info.version > TraceFormat::kVersion)
-        return false;
-    readU16(in); // flags
-    info.instructions = readU64(in);
-    const std::uint32_t name_len = readU32(in);
-    if (!in || name_len > (1u << 20))
-        return false;
-    info.name.resize(name_len);
-    in.read(info.name.data(), name_len);
-    if (!in)
-        return false;
-    out = info;
-    return true;
+    try {
+        out = decodeTraceHeader(readFrom(in), path);
+        return true;
+    } catch (const TraceFormatError &) {
+        return false; // also an unopenable file: it reads as empty
+    }
 }
 
 std::uint64_t
@@ -553,10 +227,12 @@ materializeTrace(TraceSource &src)
     auto image = std::make_shared<std::vector<TraceInst>>();
     image->reserve(src.length());
     src.reset();
-    InstBatch batch;
-    while (src.decodeBatch(batch) > 0)
-        for (unsigned i = 0; i < batch.count; ++i)
-            image->push_back(batch.get(i));
+    std::uint64_t n = 0;
+    while (const TraceInst *run = src.acquireRun(~std::uint64_t{0}, n))
+        image->insert(image->end(), run, run + n);
+    TraceInst inst;
+    while (src.next(inst))
+        image->push_back(inst);
     src.reset();
     return image;
 }

@@ -1,35 +1,10 @@
 /**
  * @file
- * On-disk trace format (.acictrace): a compact, versioned binary
- * encoding of TraceInst records, plus a buffered writer and a
- * re-iterable reader. Captured synthetic workloads replay bit-exactly
- * from disk, and the same container is the landing pad for imported
- * QEMU/ChampSim-style instruction traces.
- *
- * Layout (little-endian):
- *
- *   offset  size  field
- *   0       4     magic "ACIC"
- *   4       2     version (currently 1)
- *   6       2     flags (reserved, 0)
- *   8       8     instruction count (patched on close)
- *   16      4     workload-name length N
- *   20      N     workload name (no terminator)
- *   20+N    ...   records
- *
- * Each record starts with a tag byte:
- *
- *   bits 0-2  BranchKind
- *   bit  3    taken
- *   bit  4    pc-linked: pc equals the previous record's nextPc
- *   bit  5    sequential: nextPc equals pc + 4
- *
- * followed by up to two zigzag-varint deltas: the pc delta from the
- * previous record's nextPc (absent when pc-linked) and the nextPc
- * delta from pc + 4 (absent when sequential). Synthetic streams are
- * connected chains of mostly sequential instructions, so the common
- * record is the tag byte alone: ~1.1 B/instruction vs. 18 B in
- * memory.
+ * On-disk trace container (.acictrace): a buffered writer and a
+ * re-iterable reader of the versioned header + record payload that
+ * trace/codec.hh defines. Captured synthetic workloads replay
+ * bit-exactly from disk, and the same container is the landing pad
+ * for imported QEMU/ChampSim-style instruction traces.
  *
  * Version 2 appends an optional *index footer* after the records so
  * readers can seek to an instruction without decoding everything
@@ -47,9 +22,9 @@
  *
  * The footer is announced by the kFlagHasIndex header flag and is
  * strictly additive: version-1 files (no footer) still load, and
- * seekToInstruction() on them falls back to linear decode. Readers
- * locate the footer from the end of the file, so the record payload
- * needs no length prefix.
+ * seekTo() on them falls back to linear decode. Readers locate the
+ * footer from the end of the file, so the record payload needs no
+ * length prefix.
  */
 
 #ifndef ACIC_TRACE_IO_HH
@@ -60,39 +35,10 @@
 #include <string>
 #include <vector>
 
+#include "trace/codec.hh"
 #include "trace/memory.hh"
-#include "trace/trace.hh"
 
 namespace acic {
-
-/** Format constants shared by writer, reader, and tests. */
-struct TraceFormat
-{
-    static constexpr std::uint32_t kMagic = 0x43494341; // "ACIC"
-    /** Version written by TraceWriter (record payload + index
-     *  footer). */
-    static constexpr std::uint16_t kVersion = 2;
-    /** Oldest version readers still accept (footerless payload). */
-    static constexpr std::uint16_t kMinVersion = 1;
-
-    static constexpr std::uint8_t kKindMask = 0x07;
-    static constexpr std::uint8_t kTakenBit = 0x08;
-    static constexpr std::uint8_t kLinkedBit = 0x10;
-    static constexpr std::uint8_t kSequentialBit = 0x20;
-
-    /** Header flag: an index footer follows the records. */
-    static constexpr std::uint16_t kFlagHasIndex = 0x0001;
-    /** Trailer magic "INDX" closing the index footer. */
-    static constexpr std::uint32_t kIndexMagic = 0x58444e49;
-    /** Instructions per index checkpoint (writer default). */
-    static constexpr std::uint64_t kIndexInterval = 1u << 16;
-    /** Bytes of one checkpoint entry / of the footer trailer. */
-    static constexpr std::size_t kCheckpointBytes = 16;
-    static constexpr std::size_t kTrailerBytes = 16;
-
-    /** Canonical file suffix. */
-    static const char *suffix() { return ".acictrace"; }
-};
 
 /** One index-footer entry: decoder state at instruction j*N. */
 struct TraceCheckpoint
@@ -141,87 +87,73 @@ class TraceWriter
     void close();
 
   private:
-    void putByte(std::uint8_t b);
-    void putVarint(std::uint64_t v);
     void flush();
 
-    /** Bytes emitted so far (header + records), flushed or buffered. */
-    std::uint64_t bytesOut() const;
-
     std::ofstream out_;
-    std::string path_;
     std::vector<std::uint8_t> buf_;
+    RecordCodec codec_;
     std::uint64_t count_ = 0;
-    Addr prevNext_ = 0;
     bool open_ = false;
 
     std::uint64_t indexInterval_ = 0;
     std::uint64_t headerBytes_ = 0;
+    /** Bytes written to out_ so far (header + records). */
     std::uint64_t flushedBytes_ = 0;
     std::vector<TraceCheckpoint> checkpoints_;
 };
 
 /**
- * Buffered reader over a .acictrace file, exposing the TraceSource
+ * Reader over a .acictrace file, exposing the TraceSource
  * re-iterability contract: reset() seeks back to the first record and
- * next() replays the identical stream.
+ * the identical stream replays. A RecordReader decodes the payload a
+ * block of records at a time, and acquireRun() serves that block
+ * (the default next() and decodeBatch() copy from acquireRun()).
+ *
+ * Failure contract (trace/errors.hh): the constructor throws
+ * TraceFormatError on a bad magic, version, name length or index
+ * footer and TraceTruncatedError on a header or footer cut short;
+ * reads throw TraceTruncatedError when the file ends before the
+ * header's record count and TraceFormatError on a corrupt record.
+ * Every message carries the path and the absolute byte offset.
  */
 class FileTraceSource : public TraceSource
 {
   public:
-    /** Open and validate @p path; ACIC_FATALs on a malformed file. */
+    /** Open and validate @p path; ACIC_FATALs when it cannot be
+     *  opened. */
     explicit FileTraceSource(const std::string &path);
 
-    void reset() override;
+    /** Not copyable or movable: the reader holds a reference to in_. */
+    FileTraceSource(const FileTraceSource &) = delete;
+    FileTraceSource &operator=(const FileTraceSource &) = delete;
 
-    /**
-     * Decode the next record. Throws TraceTruncatedError when the
-     * file ends mid-record or short of the header count (the message
-     * carries the absolute byte offset and expected/got bytes), and
-     * TraceFormatError on a corrupt record (runaway varint chain,
-     * invalid branch kind) — the same failure contract the streaming
-     * frame parser uses (trace/errors.hh).
-     */
-    bool next(TraceInst &out) override;
+    void reset() override { seekTo(0); }
 
-    /**
-     * Batched decode: up to 64 records in one call, decoded with a
-     * raw pointer over the read buffer (no per-byte bounds checks —
-     * the buffer is guaranteed to hold a worst-case batch up front).
-     * Interleaves freely with next()/seekToInstruction(); the stream
-     * position and varint-chain state stay shared. Shares next()'s
-     * failure contract: TraceTruncatedError / TraceFormatError on a
-     * file that ends mid-record or decodes to garbage.
-     */
-    unsigned decodeBatch(InstBatch &out) override;
-
-    std::uint64_t length() const override { return count_; }
-    const std::string &name() const override { return name_; }
-
-    /**
-     * Position the cursor so the following next() emits instruction
-     * @p index (clamped to the record count). Jumps to the nearest
-     * preceding index-footer checkpoint and decodes forward from
-     * there; on a footerless (version 1) file this degrades to a
-     * linear decode from the start, so it is always available.
-     */
-    void seekToInstruction(std::uint64_t index);
-
-    /**
-     * TraceSource seek override backed by the v2 index footer (the
-     * decoder state stored every 64K instructions), so checkpoint
-     * resume re-aligns a file cursor without replaying the prefix.
-     */
-    bool seekTo(std::uint64_t index) override
+    /** A run out of the decoded block; valid until the next call
+     *  that consumes records. */
+    const TraceInst *
+    acquireRun(std::uint64_t max, std::uint64_t &n) override
     {
-        if (index > count_)
-            return false;
-        seekToInstruction(index);
-        return true;
+        return reader_.acquire(max, n);
     }
 
+    std::uint64_t length() const override
+    {
+        return header_.instructions;
+    }
+    const std::string &name() const override { return header_.name; }
+
+    /**
+     * Position the cursor at instruction @p index: jump to the
+     * nearest preceding index-footer checkpoint (the decoder state
+     * stored every 64K instructions) and decode forward from there.
+     * On a footerless (version 1) file this degrades to a linear
+     * decode from the start.
+     */
+    bool seekTo(std::uint64_t index) override;
+
     /** File-format version of the opened trace. */
-    std::uint16_t version() const { return version_; }
+    std::uint16_t version() const { return header_.version; }
 
     /** True when the file carries an index footer (a short indexed
      *  file may hold zero checkpoints — the payload start is the
@@ -232,35 +164,12 @@ class FileTraceSource : public TraceSource
     std::uint64_t indexInterval() const { return indexInterval_; }
 
   private:
-    bool getByte(std::uint8_t &b);
-    std::uint64_t getVarint();
     void loadIndexFooter();
-
-    /** Absolute file offset of the next unread payload byte (error
-     *  reporting: pinpoints where a truncated/corrupt decode died). */
-    std::uint64_t byteOffset() const
-    {
-        return static_cast<std::uint64_t>(payloadOff_) + bufBase_ +
-               bufPos_;
-    }
-
-    /** Compact the unread buffer tail to the front and top the
-     *  buffer up from the file (decodeBatch fast-path supply). */
-    void refillBuffer();
 
     std::ifstream in_;
     std::string path_;
-    std::string name_;
-    std::uint16_t version_ = 0;
-    std::uint64_t count_ = 0;
-    std::uint64_t emitted_ = 0;
-    std::streamoff payloadOff_ = 0;
-    std::vector<std::uint8_t> buf_;
-    std::size_t bufPos_ = 0;
-    std::size_t bufEnd_ = 0;
-    /** Payload-relative file offset of buf_[0]. */
-    std::uint64_t bufBase_ = 0;
-    Addr prevNext_ = 0;
+    TraceHeader header_;
+    RecordReader reader_;
 
     std::uint64_t indexInterval_ = 0;
     std::vector<TraceCheckpoint> checkpoints_;
@@ -273,38 +182,14 @@ class FileTraceSource : public TraceSource
  */
 std::uint64_t recordTrace(TraceSource &src, const std::string &path);
 
-/** Header metadata of an on-disk trace, read without the payload. */
-struct TraceFileInfo
-{
-    std::uint16_t version = 0;
-    std::uint64_t instructions = 0;
-    std::string name;
-};
-
 /**
  * Read just the header of @p path into @p out.
  * @return false (leaving @p out untouched) when the file cannot be
  *         opened, is not a valid `.acictrace` header, or is an
- *         unsupported format version — unlike FileTraceSource, this
- *         never fatals, so directory scans can skip foreign files.
+ *         unsupported format version, so directory scans can skip
+ *         foreign files.
  */
-bool readTraceHeader(const std::string &path, TraceFileInfo &out);
-
-/** Zigzag encode a signed delta into an unsigned varint payload. */
-constexpr std::uint64_t
-zigzagEncode(std::int64_t v)
-{
-    return (static_cast<std::uint64_t>(v) << 1) ^
-           static_cast<std::uint64_t>(v >> 63);
-}
-
-/** Inverse of zigzagEncode. */
-constexpr std::int64_t
-zigzagDecode(std::uint64_t v)
-{
-    return static_cast<std::int64_t>(v >> 1) ^
-           -static_cast<std::int64_t>(v & 1);
-}
+bool readTraceHeader(const std::string &path, TraceHeader &out);
 
 } // namespace acic
 

@@ -70,31 +70,6 @@ class MemoryTraceSource : public TraceSource
 
     void reset() override { pos_ = begin_; }
 
-    bool next(TraceInst &out) override
-    {
-        if (pos_ >= end_)
-            return false;
-        out = (*image_)[pos_++];
-        return true;
-    }
-
-    /** Batched copy straight out of the image — one bounds check per
-     *  64 instructions instead of one virtual call per instruction. */
-    unsigned decodeBatch(InstBatch &out) override
-    {
-        const std::uint64_t avail = end_ - pos_;
-        const unsigned n =
-            avail < InstBatch::kCapacity
-                ? static_cast<unsigned>(avail)
-                : InstBatch::kCapacity;
-        const TraceInst *src = image_->data() + pos_;
-        for (unsigned i = 0; i < n; ++i)
-            out.set(i, src[i]);
-        out.count = n;
-        pos_ += n;
-        return n;
-    }
-
     /** Zero-copy run straight out of the shared image: the hottest
      *  consumer (BundleWalker) reads instructions in place, paying
      *  one virtual call per region instead of per 64 records. */
@@ -113,14 +88,8 @@ class MemoryTraceSource : public TraceSource
     std::uint64_t length() const override { return end_ - begin_; }
     const std::string &name() const override { return name_; }
 
-    /** Position the cursor at region-relative instruction @p index
-     *  (clamped), so the following next() emits it. */
-    void seekToInstruction(std::uint64_t index)
-    {
-        pos_ = index < length() ? begin_ + index : end_;
-    }
-
-    /** O(1) random-access override of the generic replay seek. */
+    /** O(1) random-access override of the generic replay seek;
+     *  @p index is region-relative. */
     bool seekTo(std::uint64_t index) override
     {
         if (index > length())

@@ -9,58 +9,8 @@
 #include <cstring>
 
 #include "common/logging.hh"
-#include "trace/io.hh"
 
 namespace acic {
-
-namespace {
-
-void
-putU16(std::vector<std::uint8_t> &buf, std::uint16_t v)
-{
-    buf.push_back(static_cast<std::uint8_t>(v));
-    buf.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void
-putU32(std::vector<std::uint8_t> &buf, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<std::uint8_t> &buf, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint16_t
-loadU16(const std::uint8_t *p)
-{
-    return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t
-loadU32(const std::uint8_t *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-loadU64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
-} // namespace
 
 // ------------------------------------------------------ StreamTraceWriter
 
@@ -71,12 +21,11 @@ StreamTraceWriter::StreamTraceWriter(std::ostream &out,
       frameRecords_(frame_records == 0 ? 1 : frame_records)
 {
     std::vector<std::uint8_t> header;
-    putU32(header, StreamFormat::kMagic);
-    putU16(header, StreamFormat::kVersion);
-    putU16(header, 0); // flags
-    putU32(header, static_cast<std::uint32_t>(name.size()));
-    for (const char c : name)
-        header.push_back(static_cast<std::uint8_t>(c));
+    putLE<std::uint32_t>(header, StreamFormat::kMagic);
+    putLE<std::uint16_t>(header, StreamFormat::kVersion);
+    putLE<std::uint16_t>(header, 0); // flags
+    putLE<std::uint32_t>(header, name.size());
+    header.insert(header.end(), name.begin(), name.end());
     out_.write(reinterpret_cast<const char *>(header.data()),
                static_cast<std::streamsize>(header.size()));
     payload_.reserve(frameRecords_ * 2);
@@ -95,45 +44,29 @@ StreamTraceWriter::~StreamTraceWriter()
 }
 
 void
-StreamTraceWriter::putVarint(std::uint64_t v)
-{
-    while (v >= 0x80) {
-        payload_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    payload_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void
 StreamTraceWriter::append(const TraceInst &inst)
 {
     ACIC_ASSERT(!finished_,
                 "append() on a finished StreamTraceWriter");
-    const bool linked = inst.pc == prevNext_;
-    const Addr seq_next = inst.pc + TraceInst::kInstBytes;
-    const bool sequential = inst.nextPc == seq_next;
-
-    std::uint8_t tag = static_cast<std::uint8_t>(inst.kind) &
-                       TraceFormat::kKindMask;
-    if (inst.taken)
-        tag |= TraceFormat::kTakenBit;
-    if (linked)
-        tag |= TraceFormat::kLinkedBit;
-    if (sequential)
-        tag |= TraceFormat::kSequentialBit;
-    payload_.push_back(tag);
-
-    if (!linked)
-        putVarint(zigzagEncode(
-            static_cast<std::int64_t>(inst.pc - prevNext_)));
-    if (!sequential)
-        putVarint(zigzagEncode(
-            static_cast<std::int64_t>(inst.nextPc - seq_next)));
-
-    prevNext_ = inst.nextPc;
+    codec_.encode(inst, payload_);
     ++count_;
     if (++inFrame_ >= frameRecords_)
         flushFrame();
+}
+
+void
+StreamTraceWriter::writeFrame(std::uint32_t records, std::uint64_t word)
+{
+    std::vector<std::uint8_t> header;
+    putLE<std::uint32_t>(header, StreamFormat::kFrameMagic);
+    putLE<std::uint32_t>(header, payload_.size());
+    putLE<std::uint32_t>(header, records);
+    putLE<std::uint64_t>(header, word);
+    out_.write(reinterpret_cast<const char *>(header.data()),
+               static_cast<std::streamsize>(header.size()));
+    out_.write(reinterpret_cast<const char *>(payload_.data()),
+               static_cast<std::streamsize>(payload_.size()));
+    payload_.clear();
 }
 
 void
@@ -141,18 +74,9 @@ StreamTraceWriter::flushFrame()
 {
     if (inFrame_ == 0)
         return;
-    std::vector<std::uint8_t> header;
-    putU32(header, StreamFormat::kFrameMagic);
-    putU32(header, static_cast<std::uint32_t>(payload_.size()));
-    putU32(header, inFrame_);
-    putU64(header, frameSeed_);
-    out_.write(reinterpret_cast<const char *>(header.data()),
-               static_cast<std::streamsize>(header.size()));
-    out_.write(reinterpret_cast<const char *>(payload_.data()),
-               static_cast<std::streamsize>(payload_.size()));
-    payload_.clear();
+    writeFrame(inFrame_, frameSeed_);
     inFrame_ = 0;
-    frameSeed_ = prevNext_;
+    frameSeed_ = codec_.prevNext();
 }
 
 void
@@ -161,13 +85,7 @@ StreamTraceWriter::finish()
     if (finished_)
         return;
     flushFrame();
-    std::vector<std::uint8_t> eos;
-    putU32(eos, StreamFormat::kFrameMagic);
-    putU32(eos, 0);
-    putU32(eos, 0);
-    putU64(eos, count_);
-    out_.write(reinterpret_cast<const char *>(eos.data()),
-               static_cast<std::streamsize>(eos.size()));
+    writeFrame(0, count_); // end-of-stream: no payload, the total
     out_.flush();
     finished_ = true;
 }
@@ -426,7 +344,7 @@ StreamingTraceSource::readHeader()
 {
     std::uint8_t fixed[StreamFormat::kHeaderBytes];
     std::size_t got = 0;
-    ReadStatus st = readFully(fixed, sizeof(fixed), got);
+    const ReadStatus st = readFully(fixed, sizeof(fixed), got);
     if (st == ReadStatus::Aborted)
         throw TraceTruncatedError(
             "stream aborted before the header arrived", 0,
@@ -435,166 +353,30 @@ StreamingTraceSource::readHeader()
         throw TraceTruncatedError(
             "stream ended inside the ACIS header", streamOff_ + got,
             sizeof(fixed), got);
-    if (loadU32(fixed) != StreamFormat::kMagic)
+    if (loadLE<std::uint32_t>(fixed) != StreamFormat::kMagic)
         throw TraceFormatError(
             "not an ACIS instruction stream (bad magic; pipe the "
             "output of 'acic_run stream' here)",
             streamOff_);
-    const std::uint16_t version = loadU16(fixed + 4);
+    const auto version = loadLE<std::uint16_t>(fixed + 4);
     if (version != StreamFormat::kVersion)
         throw TraceFormatError(
             "unsupported ACIS stream version " +
                 std::to_string(version),
             streamOff_ + 4);
-    const std::uint32_t name_len = loadU32(fixed + 8);
+    const auto name_len = loadLE<std::uint32_t>(fixed + 8);
     if (name_len > (1u << 20))
         throw TraceFormatError("corrupt ACIS header (name length " +
                                    std::to_string(name_len) + ")",
                                streamOff_ + 8);
     streamOff_ += sizeof(fixed);
     name_.resize(name_len);
-    if (name_len > 0) {
-        st = readFully(name_.data(), name_len, got);
-        if (st != ReadStatus::Full)
-            throw TraceTruncatedError(
-                "stream ended inside the workload name",
-                streamOff_ + got, name_len, got);
-        streamOff_ += name_len;
-    }
+    if (readFully(name_.data(), name_len, got) != ReadStatus::Full)
+        throw TraceTruncatedError("stream ended inside the workload name",
+                                  streamOff_ + got, name_len, got);
+    streamOff_ += name_len;
     if (name_.empty())
         name_ = "stream";
-}
-
-void
-StreamingTraceSource::decodeFrame(const std::uint8_t *payload,
-                                  std::size_t payload_bytes,
-                                  std::uint32_t records, Addr seed,
-                                  std::uint64_t frame_off,
-                                  std::vector<TraceInst> &out)
-{
-    // A record is one tag byte plus at most two 10-byte varints; a
-    // runaway chain throws at shift > 63, so the fast path's pointer
-    // can never advance more than this past its entry check.
-    constexpr std::size_t kMaxRecordBytes = 21;
-
-    out.clear();
-    out.resize(records);
-    const std::uint8_t *p = payload;
-    const std::uint8_t *const end = payload + payload_bytes;
-    Addr prev = seed;
-    std::uint32_t i = 0;
-
-    const auto bad_kind = [&](std::uint8_t kind_raw) {
-        return TraceFormatError(
-            "corrupt stream record (bad branch kind " +
-                std::to_string(kind_raw) + " in frame record " +
-                std::to_string(i) + ")",
-            frame_off + static_cast<std::uint64_t>(p - 1 - payload));
-    };
-
-    // Fast path: while a worst-case record provably fits, decode
-    // with no per-byte bounds checks — the same trick as
-    // FileTraceSource::decodeBatch, and the bulk of every frame
-    // (typical records are 1-3 bytes against the 21-byte bound).
-    while (i < records &&
-           static_cast<std::size_t>(end - p) >= kMaxRecordBytes) {
-        const std::uint8_t tag = *p++;
-        const auto kind_raw = tag & TraceFormat::kKindMask;
-        if (kind_raw > static_cast<std::uint8_t>(BranchKind::Return))
-            throw bad_kind(kind_raw);
-
-        auto take_varint = [&]() -> std::uint64_t {
-            std::uint64_t v = 0;
-            unsigned shift = 0;
-            std::uint8_t b;
-            do {
-                if (shift > 63)
-                    throw TraceFormatError(
-                        "corrupt stream record (runaway varint "
-                        "continuation)",
-                        frame_off +
-                            static_cast<std::uint64_t>(p - payload));
-                b = *p++;
-                v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-                shift += 7;
-            } while (b & 0x80);
-            return v;
-        };
-
-        TraceInst &inst = out[i];
-        inst.kind = static_cast<BranchKind>(kind_raw);
-        inst.taken = (tag & TraceFormat::kTakenBit) != 0;
-        Addr pc = prev;
-        if (!(tag & TraceFormat::kLinkedBit))
-            pc += static_cast<Addr>(zigzagDecode(take_varint()));
-        Addr next_pc = pc + TraceInst::kInstBytes;
-        if (!(tag & TraceFormat::kSequentialBit))
-            next_pc += static_cast<Addr>(
-                zigzagDecode(take_varint()));
-        inst.pc = pc;
-        inst.nextPc = next_pc;
-        prev = next_pc;
-        ++i;
-    }
-
-    // Bounds-checked tail: the last few records of the frame, where
-    // a worst-case record no longer provably fits.
-    for (; i < records; ++i) {
-        if (p >= end)
-            throw TraceFormatError(
-                "frame payload ends before record " +
-                    std::to_string(i) + " of " +
-                    std::to_string(records),
-                frame_off + static_cast<std::uint64_t>(p - payload));
-        const std::uint8_t tag = *p++;
-        const auto kind_raw = tag & TraceFormat::kKindMask;
-        if (kind_raw > static_cast<std::uint8_t>(BranchKind::Return))
-            throw bad_kind(kind_raw);
-
-        auto take_varint = [&]() -> std::uint64_t {
-            std::uint64_t v = 0;
-            unsigned shift = 0;
-            std::uint8_t b;
-            do {
-                if (shift > 63)
-                    throw TraceFormatError(
-                        "corrupt stream record (runaway varint "
-                        "continuation)",
-                        frame_off +
-                            static_cast<std::uint64_t>(p - payload));
-                if (p >= end)
-                    throw TraceTruncatedError(
-                        "frame payload ends mid-varint in record " +
-                            std::to_string(i),
-                        frame_off +
-                            static_cast<std::uint64_t>(p - payload),
-                        1, 0);
-                b = *p++;
-                v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-                shift += 7;
-            } while (b & 0x80);
-            return v;
-        };
-
-        TraceInst &inst = out[i];
-        inst.kind = static_cast<BranchKind>(kind_raw);
-        inst.taken = (tag & TraceFormat::kTakenBit) != 0;
-        inst.pc = prev;
-        if (!(tag & TraceFormat::kLinkedBit))
-            inst.pc += static_cast<Addr>(
-                zigzagDecode(take_varint()));
-        inst.nextPc = inst.pc + TraceInst::kInstBytes;
-        if (!(tag & TraceFormat::kSequentialBit))
-            inst.nextPc += static_cast<Addr>(
-                zigzagDecode(take_varint()));
-        prev = inst.nextPc;
-    }
-    if (p != end)
-        throw TraceFormatError(
-            "frame payload has " +
-                std::to_string(static_cast<std::uint64_t>(end - p)) +
-                " trailing byte(s) after its declared records",
-            frame_off + static_cast<std::uint64_t>(p - payload));
 }
 
 void
@@ -630,14 +412,14 @@ StreamingTraceSource::readerMain()
                     "producer likely died)",
                     frame_off + got, sizeof(header), got);
             }
-            if (loadU32(header) != StreamFormat::kFrameMagic)
+            if (loadLE<std::uint32_t>(header) != StreamFormat::kFrameMagic)
                 throw TraceFormatError(
                     "bad frame magic (stream desynchronized or "
                     "corrupt)",
                     frame_off);
-            const std::uint32_t payload_bytes = loadU32(header + 4);
-            const std::uint32_t records = loadU32(header + 8);
-            const std::uint64_t seed_or_total = loadU64(header + 12);
+            const auto payload_bytes = loadLE<std::uint32_t>(header + 4);
+            const auto records = loadLE<std::uint32_t>(header + 8);
+            const auto seed_or_total = loadLE<std::uint64_t>(header + 12);
             streamOff_ += sizeof(header);
 
             if (payload_bytes == 0 && records == 0) {
@@ -678,8 +460,18 @@ StreamingTraceSource::readerMain()
             // Decode once, directly into the immutable chunk every
             // downstream consumer will share — no staging copy.
             auto chunk = std::make_shared<StreamChunk>();
-            decodeFrame(payload.data(), payload_bytes, records,
-                        seed_or_total, streamOff_, chunk->data);
+            chunk->data.resize(records);
+            RecordCodec codec(seed_or_total);
+            const std::uint8_t *p = payload.data();
+            const std::uint8_t *const end = p + payload_bytes;
+            if (codec.decode(p, end, streamOff_, chunk->data.data(),
+                             records) != records ||
+                p != end)
+                throw TraceFormatError(
+                    "frame payload does not hold exactly its " +
+                        std::to_string(records) + " records",
+                    streamOff_ + static_cast<std::uint64_t>(
+                                     p - payload.data()));
             streamOff_ += payload_bytes;
             decoded_ += records;
             if (!ring_.push(std::move(chunk)))
@@ -701,63 +493,24 @@ StreamingTraceSource::reset()
                    "(single-pass source)");
 }
 
-bool
-StreamingTraceSource::refillCur()
-{
-    while (!cur_ || curPos_ >= cur_->data.size()) {
-        cur_ = ring_.pop();
-        curPos_ = 0;
-        if (!cur_)
-            return false;
-    }
-    return true;
-}
-
-bool
-StreamingTraceSource::next(TraceInst &out)
-{
-    if (!refillCur())
-        return false;
-    out = cur_->data[curPos_++];
-    delivered_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-}
-
-unsigned
-StreamingTraceSource::decodeBatch(InstBatch &out)
-{
-    out.count = 0;
-    while (out.count < InstBatch::kCapacity) {
-        if (!refillCur())
-            break;
-        const std::size_t avail = cur_->data.size() - curPos_;
-        std::size_t take = InstBatch::kCapacity - out.count;
-        if (take > avail)
-            take = avail;
-        const TraceInst *recs = cur_->data.data() + curPos_;
-        for (std::size_t i = 0; i < take; ++i)
-            out.set(out.count++, recs[i]);
-        curPos_ += take;
-    }
-    delivered_.fetch_add(out.count, std::memory_order_relaxed);
-    return out.count;
-}
-
 const TraceInst *
 StreamingTraceSource::acquireRun(std::uint64_t max, std::uint64_t &n)
 {
     n = 0;
     if (max == 0)
         return nullptr;
-    if (!refillCur())
-        return nullptr;
+    while (!cur_ || curPos_ >= cur_->data.size()) {
+        cur_ = ring_.pop();
+        curPos_ = 0;
+        if (!cur_)
+            return nullptr;
+    }
     std::uint64_t run = cur_->data.size() - curPos_;
     if (run > max)
         run = max;
+    // cur_ keeps the chunk alive until the next call consumes
+    // records, as long as the run must stay valid.
     const TraceInst *recs = cur_->data.data() + curPos_;
-    // Keep the chunk alive until the next acquireRun(): the walker
-    // reads the run after this source has moved past the chunk.
-    lastRun_ = cur_;
     curPos_ += static_cast<std::size_t>(run);
     delivered_.fetch_add(run, std::memory_order_relaxed);
     n = run;
@@ -953,39 +706,12 @@ bool
 StreamTee::Cursor::next(TraceInst &out)
 {
     const std::uint64_t pos = pos_.load(std::memory_order_relaxed);
-    if (win_.recs == nullptr || pos >= win_.base + win_.count) {
-        // Pull on demand: a cursor must never report a premature
-        // end-of-stream (BundleWalker latches exhaustion).
-        if (!refill())
-            return false;
-    }
+    if ((win_.recs == nullptr || pos >= win_.base + win_.count) &&
+        !refill())
+        return false;
     out = win_.recs[static_cast<std::size_t>(pos - win_.base)];
     pos_.store(pos + 1, std::memory_order_relaxed);
     return true;
-}
-
-unsigned
-StreamTee::Cursor::decodeBatch(InstBatch &out)
-{
-    out.count = 0;
-    while (out.count < InstBatch::kCapacity) {
-        const std::uint64_t pos =
-            pos_.load(std::memory_order_relaxed);
-        if (win_.recs == nullptr || pos >= win_.base + win_.count) {
-            if (!refill())
-                break;
-        }
-        const std::uint64_t cur = pos_.load(std::memory_order_relaxed);
-        const TraceInst *recs =
-            win_.recs + static_cast<std::size_t>(cur - win_.base);
-        std::uint64_t take = win_.base + win_.count - cur;
-        if (take > InstBatch::kCapacity - out.count)
-            take = InstBatch::kCapacity - out.count;
-        for (std::uint64_t i = 0; i < take; ++i)
-            out.set(out.count++, recs[i]);
-        pos_.store(cur + take, std::memory_order_relaxed);
-    }
-    return out.count;
 }
 
 const TraceInst *
@@ -995,20 +721,20 @@ StreamTee::Cursor::acquireRun(std::uint64_t max, std::uint64_t &n)
     if (max == 0)
         return nullptr;
     const std::uint64_t pos = pos_.load(std::memory_order_relaxed);
-    if (win_.recs == nullptr || pos >= win_.base + win_.count) {
-        if (!refill())
-            return nullptr;
-    }
-    const std::uint64_t cur = pos_.load(std::memory_order_relaxed);
-    std::uint64_t run = win_.base + win_.count - cur;
+    // Pull on demand: a cursor must never report a premature
+    // end-of-stream (BundleWalker latches exhaustion).
+    if ((win_.recs == nullptr || pos >= win_.base + win_.count) &&
+        !refill())
+        return nullptr;
+    std::uint64_t run = win_.base + win_.count - pos;
     if (run > max)
         run = max;
     // Pin the owning chunk so trim() cannot free storage the walker
     // still reads from (the run pointer outlives this call).
     pin_ = win_.owner;
-    pos_.store(cur + run, std::memory_order_relaxed);
+    pos_.store(pos + run, std::memory_order_relaxed);
     n = run;
-    return win_.recs + static_cast<std::size_t>(cur - win_.base);
+    return win_.recs + static_cast<std::size_t>(pos - win_.base);
 }
 
 std::uint64_t

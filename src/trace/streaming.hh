@@ -19,9 +19,9 @@
  *     u32  record count R
  *     u64  prevNext decoder seed (varint-chain state before the
  *          frame's first record)
- *     P    record payload — the exact `.acictrace` tag-byte +
- *          zigzag-varint encoding (trace/io.hh), decodable from the
- *          seed alone, so every frame is self-contained
+ *     P    record payload — the `.acictrace` record encoding
+ *          (trace/codec.hh), decodable from the seed alone, so every
+ *          frame is self-contained
  *   end-of-stream frame (exactly once, last):
  *     u32  frame magic "AFRM"
  *     u32  0
@@ -70,8 +70,8 @@
 #include <thread>
 #include <vector>
 
+#include "trace/codec.hh"
 #include "trace/errors.hh"
-#include "trace/trace.hh"
 
 namespace acic {
 
@@ -130,14 +130,16 @@ class StreamTraceWriter
     std::uint64_t written() const { return count_; }
 
   private:
-    void putVarint(std::uint64_t v);
+    /** Write a frame header for the buffered payload (empty for the
+     *  EOS frame), then the payload. */
+    void writeFrame(std::uint32_t records, std::uint64_t word);
     void flushFrame();
 
     std::ostream &out_;
     std::vector<std::uint8_t> payload_;
+    RecordCodec codec_;
     std::uint32_t frameRecords_;
     std::uint32_t inFrame_ = 0;
-    Addr prevNext_ = 0;
     Addr frameSeed_ = 0;
     std::uint64_t count_ = 0;
     bool finished_ = false;
@@ -319,7 +321,7 @@ class ChunkedTraceSource
 /**
  * TraceSource over a live framed stream: a reader thread pulls and
  * decodes frames from an fd into a bounded SpscChunkRing; next(),
- * decodeBatch(), and nextChunk() block on the ring until records,
+ * acquireRun(), and nextChunk() block on the ring until records,
  * end-of-stream, or a stream error arrive. Single-pass — reset() is
  * only valid before the first record is consumed (the SimEngine
  * constructor's defensive reset), and seeking is unsupported.
@@ -361,8 +363,6 @@ class StreamingTraceSource : public TraceSource,
     ~StreamingTraceSource() override;
 
     void reset() override;
-    bool next(TraceInst &out) override;
-    unsigned decodeBatch(InstBatch &out) override;
     const TraceInst *acquireRun(std::uint64_t max,
                                 std::uint64_t &n) override;
 
@@ -420,17 +420,6 @@ class StreamingTraceSource : public TraceSource,
     void readHeader();
     void readerMain();
 
-    /** Ensure cur_ holds unconsumed records; false at EOS. */
-    bool refillCur();
-
-    /** Decode one frame payload; throws TraceFormatError when the
-     *  declared record count and payload bytes disagree. */
-    void decodeFrame(const std::uint8_t *payload,
-                     std::size_t payload_bytes,
-                     std::uint32_t records, Addr seed,
-                     std::uint64_t frame_off,
-                     std::vector<TraceInst> &out);
-
     int fd_;
     bool ownFd_;
     const StopSignal *stop_;
@@ -448,13 +437,9 @@ class StreamingTraceSource : public TraceSource,
     std::atomic<std::uint64_t> total_{0};
     std::atomic<bool> cleanEos_{false};
 
-    // Consumer-side state: the chunk being served to next() /
-    // decodeBatch() / acquireRun(), plus the previous chunk kept
-    // alive so the last acquireRun() pointer stays valid across the
-    // chunk boundary.
+    // Consumer-side state: the chunk acquireRun() serves from.
     std::shared_ptr<const StreamChunk> cur_;
     std::size_t curPos_ = 0;
-    std::shared_ptr<const StreamChunk> lastRun_;
     /** Relaxed atomic: tee cursors read length() (which falls back
      *  to the delivered count) from their own threads. */
     std::atomic<std::uint64_t> delivered_{0};
@@ -522,10 +507,6 @@ class StreamTee
     void trim();
 
     Cursor &cursor(unsigned i) { return *cursors_[i]; }
-    unsigned cursorCount() const
-    {
-        return static_cast<unsigned>(cursors_.size());
-    }
 
   private:
     /** One backlog entry: an immutable chunk and the absolute
@@ -571,10 +552,9 @@ class StreamTee
 };
 
 /**
- * One cursor view of the tee'd stream. Implements the full
- * TraceSource supply surface — next(), decodeBatch(), and zero-copy
+ * One cursor view of the tee'd stream: next() and zero-copy
  * acquireRun() straight out of the shared chunk storage (the
- * walker's fast path) — pulling from upstream on demand. The chunk
+ * walker's fast path), pulling from upstream on demand. The chunk
  * backing the current window and the most recent acquireRun() are
  * pinned via shared_ptr, so a concurrent trim() never invalidates
  * records the engine still reads.
@@ -587,8 +567,9 @@ class StreamTee::Cursor : public TraceSource
     /** Valid only before the first record is consumed. */
     void reset() override;
 
+    /** Reads in place: unlike the default, it leaves the chunk
+     *  pinned by the last acquireRun() alone. */
     bool next(TraceInst &out) override;
-    unsigned decodeBatch(InstBatch &out) override;
     const TraceInst *acquireRun(std::uint64_t max,
                                 std::uint64_t &n) override;
 

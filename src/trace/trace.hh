@@ -50,10 +50,8 @@ struct TraceInst
 /**
  * A fixed-capacity struct-of-arrays instruction buffer, filled 64
  * records at a time by TraceSource::decodeBatch(). Batching turns
- * the per-instruction virtual next() call — one of the hottest
- * edges in the simulator profile — into one virtual call per 64
- * instructions, and gives file decoders a run of records they can
- * decode from a raw buffer pointer without per-byte checks.
+ * the per-instruction virtual next() call into one virtual call per
+ * 64 instructions for sources without contiguous storage.
  */
 struct InstBatch
 {
@@ -100,24 +98,42 @@ class TraceSource
     virtual void reset() = 0;
 
     /**
-     * Produce the next instruction.
+     * Produce the next instruction. The default copies a one-record
+     * acquireRun(); sources without contiguous storage override it.
      * @return false when the trace is exhausted.
      */
-    virtual bool next(TraceInst &out) = 0;
+    virtual bool
+    next(TraceInst &out)
+    {
+        std::uint64_t n = 0;
+        const TraceInst *run = acquireRun(1, n);
+        if (run == nullptr)
+            return false;
+        out = *run;
+        return true;
+    }
 
     /**
      * Fill @p out with the next up-to-64 instructions; the batched
      * equivalent of next(), consuming the identical stream (a
      * decodeBatch after N next() calls continues at instruction N,
-     * and vice versa). The base implementation loops next(), so every
-     * source batches correctly by default; FileTraceSource and
-     * MemoryTraceSource override with real block decodes.
+     * and vice versa). Copies from acquireRun() while the source
+     * hands out runs, then falls back to next().
      * @return out.count (0 when the trace is exhausted).
      */
     virtual unsigned
     decodeBatch(InstBatch &out)
     {
         out.count = 0;
+        while (out.count < InstBatch::kCapacity) {
+            std::uint64_t n = 0;
+            const TraceInst *run =
+                acquireRun(InstBatch::kCapacity - out.count, n);
+            if (run == nullptr)
+                break;
+            for (std::uint64_t i = 0; i < n; ++i)
+                out.set(out.count++, run[i]);
+        }
         TraceInst inst;
         while (out.count < InstBatch::kCapacity && next(inst))
             out.set(out.count++, inst);
@@ -125,15 +141,14 @@ class TraceSource
     }
 
     /**
-     * Zero-copy alternative to decodeBatch() for sources backed by
-     * materialized storage: return a pointer to the next contiguous
-     * run of up to @p max instructions, set @p n to its length, and
-     * consume those instructions from the stream (a later next() or
+     * Zero-copy pull: return a pointer to the next contiguous run of
+     * up to @p max instructions, set @p n to its length, and consume
+     * those instructions from the stream (a later next() or
      * decodeBatch() continues after the run). Sources without
      * contiguous storage keep the default, which returns nullptr
      * with n = 0 and consumes nothing — callers then fall back to
-     * decodeBatch(). The pointer stays valid until the source is
-     * destroyed or mutated.
+     * decodeBatch(). The pointer stays valid at least until the next
+     * call that consumes records.
      */
     virtual const TraceInst *
     acquireRun(std::uint64_t max, std::uint64_t &n)

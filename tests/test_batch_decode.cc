@@ -183,7 +183,7 @@ TEST(BatchDecode, SeekMidBatchRealignsTheBatchedStream)
          {std::uint64_t{37}, std::uint64_t{1'000},
           std::uint64_t{1'091}, std::uint64_t{29'999},
           std::uint64_t{17}}) {
-        file.seekToInstruction(target);
+        ASSERT_TRUE(file.seekTo(target));
         ASSERT_GT(file.decodeBatch(batch), 0u) << "at " << target;
         for (unsigned i = 0; i < batch.count; ++i) {
             ASSERT_EQ(batch.get(i).pc, reference[target + i].pc)

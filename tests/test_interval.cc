@@ -147,7 +147,7 @@ TEST(StatCli, EmptyTraceFailsWithClearError)
         TraceWriter writer(path, "empty");
         writer.close();
     }
-    TraceFileInfo info;
+    TraceHeader info;
     ASSERT_TRUE(readTraceHeader(path, info));
     EXPECT_EQ(info.instructions, 0u);
 

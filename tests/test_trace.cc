@@ -15,6 +15,20 @@
 
 using namespace acic;
 
+namespace acic {
+
+// Print a preset as its name. Without this GoogleTest dumps the raw
+// bytes of the struct, which start with the std::string's heap
+// pointer, so the parameterized test names would change with every
+// build and run.
+void
+PrintTo(const WorkloadParams &params, std::ostream *os)
+{
+    *os << params.name;
+}
+
+} // namespace acic
+
 namespace {
 
 WorkloadParams

@@ -288,7 +288,7 @@ TEST(TraceIndex, WriterEmitsFooterAndReaderLoadsIt)
     EXPECT_TRUE(short_file.hasIndex());
     EXPECT_EQ(short_file.indexInterval(),
               TraceFormat::kIndexInterval);
-    short_file.seekToInstruction(1'500);
+    ASSERT_TRUE(short_file.seekTo(1'500));
     TraceInst inst;
     EXPECT_TRUE(short_file.next(inst));
 }
@@ -310,7 +310,7 @@ TEST(TraceIndex, SeekToInstructionMatchesLinearDecode)
          {std::uint64_t{1024}, std::uint64_t{5000},
           std::uint64_t{29'999}, std::uint64_t{777},
           std::uint64_t{0}, std::uint64_t{30'000}}) {
-        file.seekToInstruction(target);
+        ASSERT_TRUE(file.seekTo(target));
         TraceInst inst;
         for (std::uint64_t i = target; i < reference.size(); ++i) {
             ASSERT_TRUE(file.next(inst)) << "at " << i;
@@ -324,10 +324,8 @@ TEST(TraceIndex, SeekToInstructionMatchesLinearDecode)
             EXPECT_FALSE(file.next(inst));
         }
     }
-    // Seeking past the end clamps and the stream is exhausted.
-    file.seekToInstruction(1u << 30);
-    TraceInst inst;
-    EXPECT_FALSE(file.next(inst));
+    // Seeking past the end is refused.
+    EXPECT_FALSE(file.seekTo(1u << 30));
 }
 
 TEST(TraceIndex, FooterlessFileStillSeeksLinearly)
@@ -345,7 +343,7 @@ TEST(TraceIndex, FooterlessFileStillSeeksLinearly)
     FileTraceSource file(path.str());
     EXPECT_FALSE(file.hasIndex());
     EXPECT_EQ(file.indexInterval(), 0u);
-    file.seekToInstruction(6'000);
+    ASSERT_TRUE(file.seekTo(6'000));
     TraceInst inst;
     ASSERT_TRUE(file.next(inst));
     EXPECT_EQ(inst.pc, reference[6'000].pc);
@@ -374,7 +372,7 @@ TEST(TraceIndex, Version1FilesStillLoad)
         const char v1[2] = {1, 0};
         f.write(v1, 2);
     }
-    TraceFileInfo info;
+    TraceHeader info;
     ASSERT_TRUE(readTraceHeader(path.str(), info));
     EXPECT_EQ(info.version, 1u);
     EXPECT_EQ(info.instructions, reference.size());
@@ -383,7 +381,7 @@ TEST(TraceIndex, Version1FilesStillLoad)
     EXPECT_EQ(file.version(), 1u);
     EXPECT_FALSE(file.hasIndex());
     expectSameStream(reference, drain(file));
-    file.seekToInstruction(1'000);
+    ASSERT_TRUE(file.seekTo(1'000));
     TraceInst inst;
     ASSERT_TRUE(file.next(inst));
     EXPECT_EQ(inst.pc, reference[1'000].pc);
@@ -408,8 +406,8 @@ TEST(MemorySource, RegionCursorBehavesLikeCompleteSource)
     region.reset();
     ASSERT_TRUE(region.next(inst));
     EXPECT_EQ(inst.pc, reference[2'000].pc);
-    // seekToInstruction is region-relative.
-    region.seekToInstruction(4'999);
+    // seekTo is region-relative.
+    ASSERT_TRUE(region.seekTo(4'999));
     ASSERT_TRUE(region.next(inst));
     EXPECT_EQ(inst.pc, reference[6'999].pc);
     EXPECT_FALSE(region.next(inst));
