@@ -22,7 +22,7 @@ main()
                      "delta"});
     std::vector<double> deltas;
     for (auto &run : runs) {
-        const SimResult acic = run.context->run("acic");
+        const SimResult acic = run.workload->run(parseScheme("acic"));
         const EnergyBreakdown base_e =
             computeEnergy(run.baseline, {}, false);
         const EnergyBreakdown acic_e = computeEnergy(acic, {}, true);

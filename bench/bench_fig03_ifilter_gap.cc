@@ -22,9 +22,10 @@ main()
     std::vector<double> s_always, s_count, s_opt;
     std::map<std::string, SimResult> always_results;
     for (auto &run : runs) {
-        const SimResult always = run.context->run("always_insert");
-        const SimResult count = run.context->run("access_count");
-        const SimResult opt = run.context->run("opt");
+        const SimResult always =
+            run.workload->run(parseScheme("always_insert"));
+        const SimResult count = run.workload->run(parseScheme("access_count"));
+        const SimResult opt = run.workload->run(parseScheme("opt"));
         always_results[run.name] = always;
         s_always.push_back(speedupOf(run.baseline, always));
         s_count.push_back(speedupOf(run.baseline, count));

@@ -50,14 +50,14 @@ main()
 {
     auto params = Workloads::byName("data_caching");
     params.instructions = benchTraceLength();
-    WorkloadContext context(params);
+    const SharedWorkload workload(params);
 
     // Unbounded-CSHR lifetime profile (the figure itself), measured
     // on the registry's default ACIC organization.
     CshrLifetimeProfiler profiler;
-    auto inst = buildAcic("acic", context.config());
+    auto inst = buildAcic("acic", workload.config());
     inst.admission->setLifetimeProfiler(&profiler);
-    context.run(*inst.org);
+    workload.run(*inst.org, workload.wholeRun());
     profiler.finalize();
 
     const Histogram &hist = profiler.distribution();
@@ -86,8 +86,8 @@ main()
     for (const char *spec :
          {"acic(cshr=64)", "acic(cshr=128)", "acic(cshr=256)",
           "acic(cshr=512)"}) {
-        auto variant = buildAcic(spec, context.config());
-        context.run(*variant.org);
+        auto variant = buildAcic(spec, workload.config());
+        workload.run(*variant.org, workload.wholeRun());
         const Cshr &cshr = variant.admission->cshr();
         const std::uint64_t resolved = cshr.resolvedCount();
         const std::uint64_t forced = cshr.forcedCount();

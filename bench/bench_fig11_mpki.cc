@@ -30,7 +30,7 @@ main()
     for (auto &run : runs) {
         std::vector<std::string> row{run.name};
         for (const SchemeSpec &s : kSchemes) {
-            const SimResult result = run.context->run(s);
+            const SimResult result = run.workload->run(s);
             const double red = mpkiReductionOf(run.baseline, result);
             reductions[schemeName(s)].push_back(red);
             row.push_back(TablePrinter::pct(red, 1));

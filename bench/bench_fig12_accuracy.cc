@@ -29,9 +29,9 @@ main()
     fig12b.setHeader({"workload", "Random bypass", "ACIC"});
 
     for (auto &run : runs) {
-        const SimResult acic = run.context->run("acic");
+        const SimResult acic = run.workload->run(parseScheme("acic"));
         const SimResult random =
-            run.context->run("random_bypass");
+            run.workload->run(parseScheme("random_bypass"));
         all_total += acic.orgStats.get("acic.decisions");
         all_correct += acic.orgStats.get("acic.decisions_correct");
         for (const std::uint64_t r : kRanges) {

@@ -19,7 +19,7 @@ main()
         "Fig. 13: %% of i-Filter victims inserted into i-cache");
     table.setHeader({"workload", "victims", "inserted", "percent"});
     for (auto &run : runs) {
-        const SimResult r = run.context->run("acic");
+        const SimResult r = run.workload->run(parseScheme("acic"));
         const std::uint64_t victims =
             r.orgStats.get("filtered.filter_victims");
         const std::uint64_t admitted =

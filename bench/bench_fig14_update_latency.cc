@@ -22,9 +22,9 @@ main()
                      "instant update"});
     std::vector<double> red_parallel, red_instant;
     for (auto &run : runs) {
-        const SimResult parallel = run.context->run("acic");
+        const SimResult parallel = run.workload->run(parseScheme("acic"));
         const SimResult instant =
-            run.context->run("acic_instant");
+            run.workload->run(parseScheme("acic_instant"));
         red_parallel.push_back(
             mpkiReductionOf(run.baseline, parallel));
         red_instant.push_back(

@@ -23,7 +23,7 @@ main()
     table.setHeader({"workload", "speedup"});
     std::vector<double> speedups;
     for (auto &run : runs) {
-        const SimResult r = run.context->run("acic");
+        const SimResult r = run.workload->run(parseScheme("acic"));
         speedups.push_back(speedupOf(run.baseline, r));
         table.addRow({run.name,
                       TablePrinter::fmt(speedups.back(), 4)});

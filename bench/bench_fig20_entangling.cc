@@ -36,7 +36,7 @@ main()
     for (auto &run : runs) {
         std::vector<std::string> srow{run.name}, rrow{run.name};
         for (const SchemeSpec &s : kSchemes) {
-            const SimResult r = run.context->run(s);
+            const SimResult r = run.workload->run(s);
             const double sp = speedupOf(run.baseline, r);
             const double red = mpkiReductionOf(run.baseline, r);
             speedups[schemeName(s)].push_back(sp);

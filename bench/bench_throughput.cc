@@ -22,9 +22,10 @@
  * speedup is a property of the runner's core count.
  *
  * With an interval count the bench also measures interval-parallel
- * throughput (runShardedCell: K concurrently simulated regions of
- * the same trace, merged) and reports the intra-workload scaling
- * each scheme achieves over its own serial pass.
+ * throughput (a one-cell ExperimentDriver spec with intervals = K:
+ * K concurrently simulated regions of the same trace, merged) and
+ * reports the intra-workload scaling each scheme achieves over its
+ * own serial pass.
  *
  * Results are also written to BENCH_throughput.json (driver emitter
  * format) so the performance trajectory is tracked across PRs.
@@ -122,8 +123,8 @@ main(int argc, char **argv)
     // isolates the simulation loop itself (not synthetic generation).
     WorkloadParams params = Workloads::datacenter().front();
     params.instructions = benchTraceLength();
-    params = WorkloadContext::withEnvOverrides(params);
-    SharedWorkload context(params);
+    params = withEnvOverrides(params);
+    const SharedWorkload workload(params);
     const double minst =
         static_cast<double>(params.instructions) / 1e6;
 
@@ -193,7 +194,7 @@ main(int argc, char **argv)
         double file_best = 0.0, stream_best = 0.0;
         for (int r = 0; r < reps; ++r) {
             const double fs =
-                timedSeconds([&] { (void)context.run(scheme); });
+                timedSeconds([&] { (void)workload.run(scheme); });
             if (file_best == 0.0 || fs < file_best)
                 file_best = fs;
             const double ss =
@@ -229,7 +230,7 @@ main(int argc, char **argv)
         }
     }
     table.addNote("rate = trace instructions / host seconds of "
-                  "Simulator::run (org built inside the timer)");
+                  "SharedWorkload::run (org built inside the timer)");
     table.print();
     stable.addNote("decode thread + chunk ring + zero-copy tee, "
                    "oracle disabled; the file-sourced lane replays "
@@ -331,11 +332,12 @@ main(int argc, char **argv)
             {"scheme", "seconds", "Minst/s", "speedup vs serial"});
         for (std::size_t s = 0; s < schemes.size(); ++s) {
             const SchemeSpec &scheme = schemes[s];
+            ExperimentSpec spec;
+            spec.workloads = {params};
+            spec.schemes = {scheme};
+            spec.intervals = static_cast<unsigned>(intervals);
             const double secs = bestSeconds(reps, [&] {
-                (void)runShardedCell(context, scheme,
-                                     static_cast<unsigned>(
-                                         intervals),
-                                     kDefaultIntervalWarmup);
+                (void)ExperimentDriver(spec).run();
             });
             if (secs <= 0.0 || serial_secs[s] <= 0.0) {
                 itable.addRow({schemeName(scheme), "-", "-", "-"});
@@ -351,7 +353,9 @@ main(int argc, char **argv)
         }
         itable.addNote("merged shard results; functional warming + " +
                        std::to_string(kDefaultIntervalWarmup) +
-                       "-instruction timed warmup per shard");
+                       "-instruction timed warmup per shard; the "
+                       "time includes the driver's trace "
+                       "materialization");
         itable.print();
     }
 

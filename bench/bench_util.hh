@@ -44,18 +44,18 @@ benchTraceLength()
     // Delegate ACIC_TRACE_LEN parsing to the one hardened parser.
     WorkloadParams params;
     params.instructions = 2'000'000;
-    return WorkloadContext::withEnvOverrides(params).instructions;
+    return withEnvOverrides(params).instructions;
 }
 
-/** One workload's context plus its baseline run. */
+/** One workload's materialized trace plus its baseline run. */
 struct WorkloadRun
 {
     std::string name;
-    std::unique_ptr<WorkloadContext> context;
+    std::unique_ptr<SharedWorkload> workload;
     SimResult baseline;
 };
 
-/** Build contexts and LRU+FDP baselines for a preset collection. */
+/** Build workloads and LRU+FDP baselines for a preset collection. */
 inline std::vector<WorkloadRun>
 buildBaselines(std::vector<WorkloadParams> presets,
                const SimConfig &config = {},
@@ -67,9 +67,9 @@ buildBaselines(std::vector<WorkloadParams> presets,
         params.instructions = benchTraceLength();
         WorkloadRun run;
         run.name = params.name;
-        run.context =
-            std::make_unique<WorkloadContext>(params, config);
-        run.baseline = run.context->run(baseline_spec);
+        run.workload =
+            std::make_unique<SharedWorkload>(params, config);
+        run.baseline = run.workload->run(baseline_spec);
         runs.push_back(std::move(run));
     }
     return runs;
@@ -121,7 +121,7 @@ runScheme(std::vector<WorkloadRun> &runs, const SchemeSpec &scheme)
 {
     std::map<std::string, SimResult> out;
     for (auto &run : runs)
-        out[run.name] = run.context->run(scheme);
+        out[run.name] = run.workload->run(scheme);
     return out;
 }
 

@@ -17,6 +17,7 @@
 #include "driver/emitters.hh"
 #include "driver/experiment.hh"
 #include "trace/io.hh"
+#include "trace/synthetic.hh"
 
 using namespace acic;
 

@@ -28,8 +28,10 @@ main(int argc, char **argv)
         argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2]))
                  : 2'000'000;
 
-    WorkloadContext context(params);
-    const SimResult base = context.run("lru");
+    params = withEnvOverrides(params);
+
+    const SharedWorkload workload(params);
+    const SimResult base = workload.run(parseScheme("lru"));
 
     const std::vector<SchemeSpec> kSchemes = parseSchemeList(
         "srrip,ship,harmony,ghrp,dsb,obm,vvc,vc3k,always_insert,"
@@ -42,8 +44,8 @@ main(int argc, char **argv)
     table.setHeader({"scheme", "speedup", "MPKI", "MPKI reduction",
                      "admit rate", "storage KB"});
     for (const SchemeSpec &scheme : kSchemes) {
-        auto org = makeScheme(scheme, context.config());
-        const SimResult r = context.run(*org);
+        auto org = makeScheme(scheme, workload.config());
+        const SimResult r = workload.run(*org, workload.wholeRun());
         const double speedup = static_cast<double>(base.cycles) /
                                static_cast<double>(r.cycles);
         const double reduction =

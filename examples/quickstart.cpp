@@ -27,16 +27,16 @@ main(int argc, char **argv)
     if (argc > 2)
         params.instructions =
             static_cast<std::uint64_t>(std::atoll(argv[2]));
+    params = withEnvOverrides(params);
 
     std::printf("ACIC quickstart: workload '%s', %llu instructions\n",
                 params.name.c_str(),
                 static_cast<unsigned long long>(params.instructions));
 
-    WorkloadContext context(params);
-
-    const SimResult base = context.run("lru");
-    const SimResult acic = context.run("acic");
-    const SimResult opt = context.run("opt");
+    const SharedWorkload workload(params);
+    const SimResult base = workload.run(parseScheme("lru"));
+    const SimResult acic = workload.run(parseScheme("acic"));
+    const SimResult opt = workload.run(parseScheme("opt"));
 
     TablePrinter table("Quickstart: LRU baseline vs ACIC vs OPT");
     table.setHeader({"scheme", "IPC", "L1i MPKI", "speedup",

@@ -60,6 +60,7 @@
 #include "trace/import/importer.hh"
 #include "trace/io.hh"
 #include "trace/stats.hh"
+#include "trace/synthetic.hh"
 
 using namespace acic;
 
@@ -184,12 +185,13 @@ const char *const kRunHelp =
     "                     comment lines (strip with grep -v '^#')\n"
     "  --no-oracle        skip building the Belady next-use oracle.\n"
     "                     OPT-style schemes then see 'never reused'\n"
-    "                     for every block and the advisory accuracy\n"
-    "                     counters (match_opt, acic.*_r*) stay zero\n"
-    "                     — the same statistics a single-pass live\n"
-    "                     stream ('acic_run serve') can compute, so\n"
-    "                     serve output diffs byte-identically\n"
-    "                     against this mode\n"
+    "                     for every block, and the advisory accuracy\n"
+    "                     counters (match_opt, acic.*) are computed\n"
+    "                     from sentinel next-use values and are not\n"
+    "                     meaningful — the same statistics a\n"
+    "                     single-pass live stream ('acic_run serve')\n"
+    "                     computes, so serve output diffs\n"
+    "                     byte-identically against this mode\n"
     "  --quiet            suppress per-cell progress on stderr\n"
     "  --progress         one live progress line on stderr (cells\n"
     "                     done/total, percent, aggregate Minst/s,\n"
@@ -635,8 +637,7 @@ cmdRecord(const OptionParser &opts)
     const WorkloadCatalog catalog = WorkloadCatalog::builtin();
     for (const auto &entry : catalog.resolve(list)) {
         // Precedence: explicit flag > ACIC_TRACE_LEN > preset.
-        WorkloadParams params =
-            WorkloadContext::withEnvOverrides(entry.params);
+        WorkloadParams params = withEnvOverrides(entry.params);
         if (const char *n = opts.value("--instructions"))
             params.instructions = parseCount(n, "--instructions");
         const std::string path =

@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <unordered_set>
 #include <utility>
 
 #include "common/json.hh"
@@ -119,6 +120,45 @@ loadCellFile(const std::string &path, const ExperimentSpec &spec,
 }
 
 /**
+ * Remove what a killed run leaves behind for the cells this shard
+ * owns: the in-flight snapshot of a cell published before the kill
+ * could remove it (that cell is preloaded now, so nothing else would
+ * ever remove it), and the `.tmp.*` orphans of a checkpoint write
+ * cut short. Cells of sibling shards are left alone — their
+ * processes share the directory and may be mid-write.
+ */
+void
+removeStaleFiles(const ExperimentSpec &spec,
+                 const std::vector<bool> &preloaded)
+{
+    namespace fs = std::filesystem;
+    const std::string &dir = spec.checkpointDir;
+    const std::size_t n_schemes = spec.schemes.size();
+    std::unordered_set<std::string> owned; // file names of owned cells
+    for (std::size_t w = 0; w < spec.workloads.size(); ++w)
+        for (std::size_t s = 0; s < n_schemes; ++s) {
+            if (!spec.ownsCell(w, s))
+                continue;
+            const std::string inflight = inflightFilePath(dir, w, s);
+            if (preloaded[w * n_schemes + s])
+                std::remove(inflight.c_str());
+            owned.insert(fs::path(inflight).filename().string());
+            owned.insert(
+                fs::path(cellFilePath(dir, w, s)).filename().string());
+        }
+    for (const char *sub : {"/cells", "/inflight"})
+        for (const auto &entry : fs::directory_iterator(dir + sub)) {
+            const std::string name = entry.path().filename().string();
+            const std::size_t tmp = name.find(".tmp.");
+            if (tmp != std::string::npos &&
+                owned.count(name.substr(0, tmp)) != 0) {
+                std::error_code ignored;
+                fs::remove(entry.path(), ignored);
+            }
+        }
+}
+
+/**
  * The manifest pins everything that defines the sweep's result
  * identity — the matrix shape and the instruction budget — so a
  * restart (or a sibling shard) with a different spec is rejected
@@ -208,7 +248,6 @@ ExperimentDriver::ExperimentDriver(ExperimentSpec spec)
 std::shared_ptr<const SharedWorkload>
 ExperimentDriver::prepareWorkload(const WorkloadEntry &entry) const
 {
-    std::shared_ptr<SharedWorkload> shared;
     if (entry.source == WorkloadSource::Stream) {
         // A pipe/stdin entry is single-pass: it can be neither
         // materialized for concurrent schemes nor replayed for the
@@ -221,29 +260,23 @@ ExperimentDriver::prepareWorkload(const WorkloadEntry &entry) const
             " --schemes ...' instead, or materialize it to a file "
             "first";
         ACIC_FATAL(msg.c_str());
-    } else if (entry.source == WorkloadSource::TraceFile) {
-        FileTraceSource file(entry.path);
-        shared =
-            std::make_shared<SharedWorkload>(file, spec_.config);
-    } else if (!spec_.traceDir.empty()) {
-        const std::string path = spec_.traceDir + "/" +
-                                 entry.name() +
-                                 TraceFormat::suffix();
-        FileTraceSource file(path);
-        shared =
-            std::make_shared<SharedWorkload>(file, spec_.config);
-    } else {
-        // Precedence: explicit spec override > ACIC_TRACE_LEN >
-        // preset.
-        WorkloadParams effective =
-            WorkloadContext::withEnvOverrides(entry.params);
-        if (spec_.instructions != 0)
-            effective.instructions = spec_.instructions;
-        shared = std::make_shared<SharedWorkload>(
-            std::move(effective), spec_.config);
     }
-    shared->setOracleEnabled(spec_.useOracle);
-    return shared;
+    if (entry.source == WorkloadSource::TraceFile ||
+        !spec_.traceDir.empty()) {
+        FileTraceSource file(
+            entry.source == WorkloadSource::TraceFile
+                ? entry.path
+                : spec_.traceDir + "/" + entry.name() +
+                      TraceFormat::suffix());
+        return std::make_shared<SharedWorkload>(file, spec_.config,
+                                                spec_.useOracle);
+    }
+    // Precedence: explicit spec override > ACIC_TRACE_LEN > preset.
+    WorkloadParams effective = withEnvOverrides(entry.params);
+    if (spec_.instructions != 0)
+        effective.instructions = spec_.instructions;
+    return std::make_shared<SharedWorkload>(
+        std::move(effective), spec_.config, spec_.useOracle);
 }
 
 namespace {
@@ -266,10 +299,10 @@ struct RunState
     std::mutex observerMutex;
 };
 
-/** In-flight shards of one interval-sharded cell. */
-struct CellShards
+/** The in-flight regions of one cell and their partial results. */
+struct CellRegions
 {
-    explicit CellShards(std::vector<SimInterval> plan_)
+    explicit CellRegions(std::vector<SimInterval> plan_)
         : plan(std::move(plan_)), parts(plan.size()),
           seconds(plan.size(), 0.0), remaining(plan.size())
     {
@@ -288,9 +321,9 @@ struct CellShards
  * so the builds run on the pool instead of serializing the prepare
  * task.
  */
-struct ShardOracles
+struct RegionOracles
 {
-    explicit ShardOracles(std::size_t n)
+    explicit RegionOracles(std::size_t n)
         : once(std::make_unique<std::once_flag[]>(n)), oracles(n)
     {
     }
@@ -308,6 +341,53 @@ struct ShardOracles
     std::vector<DemandOracle> oracles;
 };
 
+/**
+ * Simulate region @p i of cell (@p w, @p s) into its part slot: the
+ * one per-task body of the driver. Only a one-region cell snapshots
+ * itself in flight — interval shards are short, and the
+ * completed-cell granularity bounds their lost work by one shard.
+ */
+void
+runRegion(const ExperimentSpec &spec, std::size_t w, std::size_t s,
+          std::size_t i, const SharedWorkload &shared,
+          CellRegions &regions, RegionOracles *oracles,
+          bool checkpointing)
+{
+    const auto start = std::chrono::steady_clock::now();
+    const SimInterval &region = regions.plan[i];
+    const bool sharded = regions.plan.size() > 1;
+    TelemetryScope span(sharded ? "driver.shard" : "driver.cell");
+    if (span.live()) {
+        span.attr("workload", spec.workloads[w].name());
+        span.attr("scheme", schemeName(spec.schemes[s]));
+        if (sharded) {
+            span.attr("shard", static_cast<std::uint64_t>(i));
+            span.attr("shards",
+                      static_cast<std::uint64_t>(regions.plan.size()));
+        }
+    }
+    const InflightCheckpoint inflight{
+        checkpointing ? inflightFilePath(spec.checkpointDir, w, s)
+                      : std::string(),
+        spec.checkpointEvery};
+    try {
+        auto org = makeScheme(spec.schemes[s], spec.config);
+        regions.parts[i] = shared.run(
+            *org, region,
+            oracles ? &oracles->get(i, shared, region) : nullptr,
+            checkpointing && !sharded ? &inflight : nullptr);
+    } catch (const std::exception &e) {
+        // Specs are pre-validated against the default SimConfig
+        // only; a builder rejecting the run-time config must fail
+        // loudly, not std::terminate the pool on an escaping
+        // exception.
+        ACIC_FATAL(e.what());
+    }
+    regions.seconds[i] = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+}
+
 } // namespace
 
 std::vector<CellResult>
@@ -318,9 +398,10 @@ ExperimentDriver::run(const Observer &observer)
     std::vector<CellResult> cells(spec_.cellCount());
 
     // Checkpoint directory: create the layout, pin the sweep
-    // identity, and preload every owned cell already completed by a
-    // previous (crashed or finished) invocation. A corrupt cell file
-    // throws here — restarts never silently recompute or mix results.
+    // identity, preload every owned cell already completed by a
+    // previous (crashed or finished) invocation, and clear the stale
+    // files a crash left behind. A corrupt cell file throws here —
+    // restarts never silently recompute or mix results.
     const bool checkpointing = !spec_.checkpointDir.empty();
     if (checkpointing) {
         std::filesystem::create_directories(spec_.checkpointDir +
@@ -341,6 +422,8 @@ ExperimentDriver::run(const Observer &observer)
                     w, s, cells[idx]))
                 preloaded[idx] = true;
         }
+    if (checkpointing)
+        removeStaleFiles(spec_, preloaded);
     if (observer)
         for (const CellResult &cell : cells)
             if (cell.done)
@@ -390,11 +473,11 @@ ExperimentDriver::run(const Observer &observer)
             next();
     };
 
-    // A prepare task builds one workload's shared trace + oracle and
-    // fans its row's scheme cells back into the same pool — as one
-    // monolithic task per cell (intervals <= 1, the bit-identical
-    // legacy path), or as one task per interval shard, so a long
-    // workload's own trace is simulated by many workers at once.
+    // A prepare task builds one workload's shared trace and fans its
+    // row's (cell, region) pairs back into the same pool as one task
+    // each — one region per cell when monolithic, one per interval
+    // shard otherwise, so a long workload's own trace is simulated
+    // by many workers at once.
     // Prepares are released in a sliding window of ~thread-count
     // workloads — the last cell of a finished workload submits the
     // next prepare — so preparation overlaps simulation while the
@@ -421,143 +504,52 @@ ExperimentDriver::run(const Observer &observer)
                               spec_.workloads[w].name());
                     shared = prepareWorkload(spec_.workloads[w]);
                 }
-                std::vector<SimInterval> plan;
-                std::shared_ptr<ShardOracles> oracles;
-                if (spec_.intervals > 1) {
-                    // Shard the same measured region a monolithic
-                    // run reports (post-warmupFraction), so merged
-                    // results are directly comparable to full runs.
-                    const std::uint64_t total =
-                        shared->instructions();
-                    const auto measure_begin =
-                        static_cast<std::uint64_t>(
-                            static_cast<double>(total) *
-                            spec_.config.warmupFraction);
-                    plan = planIntervals(measure_begin, total,
-                                         spec_.intervals,
-                                         spec_.intervalWarmup,
-                                         spec_.warmHorizon);
-                    if (plan.size() > 1 && spec_.useOracle)
-                        oracles = std::make_shared<ShardOracles>(
-                            plan.size());
-                }
+                // A monolithic cell is the one region wholeRun();
+                // K > 1 intervals shard the same measured region
+                // (post-warmupFraction), so merged results are
+                // directly comparable to full runs.
+                const SimInterval whole = shared->wholeRun();
+                std::vector<SimInterval> plan = planIntervals(
+                    whole.begin, whole.end, spec_.intervals,
+                    spec_.intervalWarmup, spec_.warmHorizon);
+                if (plan.size() <= 1)
+                    plan = {whole};
+                std::shared_ptr<RegionOracles> oracles;
+                if (plan.size() > 1 && spec_.useOracle)
+                    oracles =
+                        std::make_shared<RegionOracles>(plan.size());
                 for (std::size_t s = 0; s < n_schemes; ++s) {
                     if (!spec_.ownsCell(w, s) ||
                         preloaded[w * n_schemes + s])
                         continue;
-                    if (plan.size() <= 1) {
-                        pool.submit([this, w, s, shared, &pool,
-                                     checkpointing, &finishCell,
-                                     &submitNextPrepare] {
-                            const auto start =
-                                std::chrono::steady_clock::now();
-                            TelemetryScope span("driver.cell");
-                            if (span.live()) {
-                                span.attr(
-                                    "workload",
-                                    spec_.workloads[w].name());
-                                span.attr(
-                                    "scheme",
-                                    schemeName(spec_.schemes[s]));
-                            }
-                            CellResult cell;
-                            cell.workloadIndex = w;
-                            cell.schemeIndex = s;
-                            try {
-                                // Monolithic checkpointed cells
-                                // resume from (and periodically
-                                // refresh) an in-flight engine
-                                // snapshot; the chunked phases are
-                                // bit-identical to one-shot run().
-                                cell.result =
-                                    checkpointing
-                                        ? shared->runCheckpointed(
-                                              spec_.schemes[s],
-                                              inflightFilePath(
-                                                  spec_
-                                                      .checkpointDir,
-                                                  w, s),
-                                              spec_.checkpointEvery)
-                                        : shared->run(
-                                              spec_.schemes[s]);
-                            } catch (const std::exception &e) {
-                                // Specs are pre-validated against
-                                // the default SimConfig only; a
-                                // builder rejecting the run-time
-                                // config must fail loudly, not
-                                // std::terminate the pool on an
-                                // escaping exception.
-                                ACIC_FATAL(e.what());
-                            }
-                            cell.hostSeconds =
-                                std::chrono::duration<double>(
-                                    std::chrono::steady_clock::
-                                        now() -
-                                    start)
-                                    .count();
+                    const auto regions =
+                        std::make_shared<CellRegions>(plan);
+                    for (std::size_t i = 0; i < plan.size(); ++i)
+                        pool.submit([this, w, s, i, shared, regions,
+                                     oracles, &pool, checkpointing,
+                                     &finishCell, &submitNextPrepare] {
+                            runRegion(spec_, w, s, i, *shared,
+                                      *regions, oracles.get(),
+                                      checkpointing);
                             emitPoolGauges(pool);
-                            finishCell(cell, submitNextPrepare);
-                        });
-                        continue;
-                    }
-                    const auto shards =
-                        std::make_shared<CellShards>(plan);
-                    for (std::size_t i = 0; i < plan.size(); ++i) {
-                        pool.submit([this, w, s, i, shared, shards,
-                                     oracles, &pool, &finishCell,
-                                     &submitNextPrepare] {
-                            const auto start =
-                                std::chrono::steady_clock::now();
-                            TelemetryScope span("driver.shard");
-                            if (span.live()) {
-                                span.attr(
-                                    "workload",
-                                    spec_.workloads[w].name());
-                                span.attr(
-                                    "scheme",
-                                    schemeName(spec_.schemes[s]));
-                                span.attr(
-                                    "shard",
-                                    static_cast<std::uint64_t>(i));
-                                span.attr(
-                                    "shards",
-                                    static_cast<std::uint64_t>(
-                                        shards->plan.size()));
-                            }
-                            try {
-                                shards->parts[i] =
-                                    shared->runInterval(
-                                        spec_.schemes[s],
-                                        shards->plan[i],
-                                        oracles
-                                            ? &oracles->get(
-                                                  i, *shared,
-                                                  shards->plan[i])
-                                            : nullptr);
-                            } catch (const std::exception &e) {
-                                ACIC_FATAL(e.what());
-                            }
-                            shards->seconds[i] =
-                                std::chrono::duration<double>(
-                                    std::chrono::steady_clock::
-                                        now() -
-                                    start)
-                                    .count();
-                            emitPoolGauges(pool);
-                            if (shards->remaining.fetch_sub(1) != 1)
+                            if (regions->remaining.fetch_sub(1) != 1)
                                 return;
-                            // Last shard: merge and publish.
+                            // Last region: publish the cell. A
+                            // one-region cell publishes its part
+                            // as-is (mergeSimResults would drop
+                            // registered-but-unwritten stat handles
+                            // the cell file records).
                             CellResult cell;
                             cell.workloadIndex = w;
                             cell.schemeIndex = s;
                             cell.result =
-                                mergeSimResults(shards->parts);
-                            for (const double secs :
-                                 shards->seconds)
+                                regions->plan.size() == 1
+                                    ? regions->parts.front()
+                                    : mergeSimResults(regions->parts);
+                            for (const double secs : regions->seconds)
                                 cell.hostSeconds += secs;
                             finishCell(cell, submitNextPrepare);
                         });
-                    }
                 }
             });
         };
@@ -569,35 +561,6 @@ ExperimentDriver::run(const Observer &observer)
 
     pool.wait();
     return cells;
-}
-
-SimResult
-runShardedCell(const SharedWorkload &workload,
-               const SchemeSpec &scheme, unsigned intervals,
-               std::uint64_t warmup, unsigned threads,
-               std::uint64_t warmHorizon)
-{
-    const std::uint64_t total = workload.instructions();
-    const auto measure_begin = static_cast<std::uint64_t>(
-        static_cast<double>(total) *
-        workload.config().warmupFraction);
-    const std::vector<SimInterval> plan = planIntervals(
-        measure_begin, total, intervals, warmup, warmHorizon);
-    if (plan.size() <= 1)
-        return workload.run(scheme);
-    std::vector<SimResult> parts(plan.size());
-    ThreadPool pool(threads);
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-        pool.submit([&workload, &scheme, &plan, &parts, i] {
-            try {
-                parts[i] = workload.runInterval(scheme, plan[i]);
-            } catch (const std::exception &e) {
-                ACIC_FATAL(e.what());
-            }
-        });
-    }
-    pool.wait();
-    return mergeSimResults(parts);
 }
 
 } // namespace acic

@@ -5,8 +5,9 @@
  * Figs. 10-17) and the driver executes every cell on a thread pool.
  * Each workload's trace is materialized and its Belady oracle built
  * exactly once, shared read-only by all workers; per-cell state (the
- * cache organization and simulator) is private to the worker, so
- * results are bit-identical to the serial WorkloadContext path at any
+ * cache organization and engine) is private to the worker, and every
+ * task is one SharedWorkload::run over one region of a cell, so
+ * results are bit-identical to a serial SharedWorkload::run at any
  * thread count.
  */
 
@@ -58,8 +59,8 @@ struct ExperimentSpec
 
     /**
      * Intervals each cell's trace is sharded into (intra-workload
-     * parallelism). 1 (the default) runs the legacy monolithic pass,
-     * bit-identical to the serial path. K > 1 slices the trace into
+     * parallelism). 1 (the default) runs each cell as the one region
+     * SharedWorkload::wholeRun(). K > 1 slices the trace into
      * K equal regions simulated concurrently on the same pool —
      * each warmed by `intervalWarmup` instructions with stats frozen
      * — and merges shard results with mergeSimResults(), so the
@@ -88,10 +89,11 @@ struct ExperimentSpec
      * Build and pass the Belady demand oracle to every cell (the
      * default). OPT-style schemes need it to make decisions; for the
      * others it only feeds advisory accuracy counters (match_opt,
-     * acic.*_r<N>) in the org-stats dump. Turning it off skips the
-     * oracle pass entirely and zeroes those counters — which is also
-     * what `acic_run serve` reports, since a live stream cannot be
-     * replayed for an oracle — so `run --no-oracle` output is the
+     * acic.*) in the org-stats dump. Turning it off skips the oracle
+     * pass entirely; those counters are then computed from sentinel
+     * next-use values and are not meaningful. That is also what
+     * `acic_run serve` reports, since a live stream cannot be
+     * replayed for an oracle, so `run --no-oracle` output is the
      * byte-comparison currency between served and file-based runs.
      */
     bool useOracle = true;
@@ -186,20 +188,6 @@ struct CellResult
     bool done = false;
 };
 
-/**
- * Shard one (workload x scheme) cell into @p intervals regions, run
- * them concurrently on a private pool of @p threads workers, and
- * merge — the standalone intra-workload parallel primitive (benches,
- * one-cell tools). The ExperimentDriver schedules the same shards
- * inline on its own pool instead, so matrix- and interval-level
- * parallelism share one set of workers.
- */
-SimResult runShardedCell(const SharedWorkload &workload,
-                         const SchemeSpec &scheme,
-                         unsigned intervals, std::uint64_t warmup,
-                         unsigned threads = 0,
-                         std::uint64_t warmHorizon = 0);
-
 /** See file comment. */
 class ExperimentDriver
 {
@@ -223,7 +211,7 @@ class ExperimentDriver
     const ExperimentSpec &spec() const { return spec_; }
 
   private:
-    /** Build one workload's shared trace + oracle. */
+    /** Materialize one workload's shared trace. */
     std::shared_ptr<const SharedWorkload>
     prepareWorkload(const WorkloadEntry &entry) const;
 

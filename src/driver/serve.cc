@@ -480,8 +480,7 @@ runStreamGen(const StreamGenOptions &options)
                 "'";
             ACIC_FATAL(msg.c_str());
         }
-        WorkloadParams params =
-            WorkloadContext::withEnvOverrides(entry->params);
+        WorkloadParams params = withEnvOverrides(entry->params);
         if (options.instructions > 0)
             params.instructions = options.instructions;
         source = std::make_unique<SyntheticWorkload>(params);
@@ -489,10 +488,11 @@ runStreamGen(const StreamGenOptions &options)
 
     StreamTraceWriter writer(*out, source->name(),
                              options.frameRecords);
-    InstBatch batch;
-    while (source->decodeBatch(batch) > 0) {
-        for (unsigned i = 0; i < batch.count; ++i)
-            writer.append(batch.get(i));
+    std::uint64_t n = 0;
+    while (const TraceInst *run =
+               source->acquireRun(~std::uint64_t{0}, n)) {
+        for (std::uint64_t i = 0; i < n; ++i)
+            writer.append(run[i]);
         if (!out->good())
             break; // consumer went away (EPIPE); not an error here
     }

@@ -4,8 +4,8 @@
  * mutable state of the front-end timing model — FTQ, branch
  * predictors, MSHRs, backing hierarchy, prefetcher, decode queue,
  * cycle/retired counters, and the warmup stat snapshot — extracted
- * from the old monolithic Simulator::run() loop so a run can be
- * stepped in phases instead of one shot:
+ * from the old monolithic one-shot run loop so a run can be stepped
+ * in phases instead of one shot:
  *
  *   SimEngine engine(config, trace, org, oracle);
  *   engine.warmUp(w);     // warm caches/predictors; stats frozen
@@ -15,14 +15,15 @@
  * warmUp() performs full timing simulation and latches a snapshot of
  * the cumulative counters when the warmup target retires; finish()
  * reports measured = cumulative - snapshot. This generalizes the old
- * inline warmupFraction snapshot hack bit-for-bit: Simulator::run()
- * is now a thin warmUp(total*warmupFraction) + measure(rest) wrapper
- * and reproduces the pre-refactor golden corpus byte-identically.
+ * inline warmupFraction snapshot hack bit-for-bit: a monolithic run
+ * is warmUp(total*warmupFraction) + measure(rest) and reproduces the
+ * pre-refactor golden corpus byte-identically.
  *
- * Phases compose: the interval-parallel driver seeks a region cursor
- * to (intervalStart - W), warms W instructions, measures the
- * interval, and merges the per-interval SimResults (see
- * mergeSimResults in sim/simulator.hh).
+ * Phases compose: SharedWorkload::run (sim/runner.hh), the one batch
+ * driver of this class, seeks a region cursor to (intervalStart - W),
+ * warms W instructions, measures the interval in checkpointable
+ * chunks, and the experiment driver merges the per-interval
+ * SimResults (see mergeSimResults in sim/simulator.hh).
  */
 
 #ifndef ACIC_SIM_ENGINE_HH

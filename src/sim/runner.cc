@@ -1,12 +1,12 @@
 #include "sim/runner.hh"
 
-#include <cerrno>
-#include <cstdlib>
+#include <algorithm>
 #include <fstream>
 
 #include "common/logging.hh"
 #include "common/telemetry.hh"
 #include "sim/engine.hh"
+#include "trace/synthetic.hh"
 
 namespace acic {
 
@@ -40,55 +40,6 @@ planIntervals(std::uint64_t measureBegin, std::uint64_t measureEnd,
     return plan;
 }
 
-WorkloadParams
-WorkloadContext::withEnvOverrides(WorkloadParams params)
-{
-    const char *env = std::getenv("ACIC_TRACE_LEN");
-    if (!env)
-        return params;
-    errno = 0;
-    char *end = nullptr;
-    const long long v = std::strtoll(env, &end, 10);
-    if (end == env || *end != '\0' || errno == ERANGE) {
-        warn("ACIC_TRACE_LEN is not a number; ignoring override");
-        return params;
-    }
-    if (v <= 0) {
-        warn("ACIC_TRACE_LEN must be a positive instruction count; "
-             "ignoring override");
-        return params;
-    }
-    params.instructions = static_cast<std::uint64_t>(v);
-    return params;
-}
-
-WorkloadContext::WorkloadContext(WorkloadParams params,
-                                 SimConfig config)
-    : config_(config), trace_(withEnvOverrides(std::move(params))),
-      oracle_(DemandOracle::build(trace_, config.fetchWidth))
-{
-}
-
-SimResult
-WorkloadContext::run(const SchemeSpec &scheme)
-{
-    auto org = makeScheme(scheme, config_);
-    return run(*org);
-}
-
-SimResult
-WorkloadContext::run(const std::string &spec)
-{
-    return run(parseScheme(spec));
-}
-
-SimResult
-WorkloadContext::run(IcacheOrg &org)
-{
-    Simulator simulator(config_);
-    return simulator.run(trace_, org, &oracle_);
-}
-
 namespace {
 
 /** Materialize a freshly generated synthetic trace. */
@@ -110,8 +61,9 @@ buildOracle(const TraceImage &image, const std::string &name,
 
 } // namespace
 
-SharedWorkload::SharedWorkload(WorkloadParams params, SimConfig config)
-    : config_(config), name_(params.name)
+SharedWorkload::SharedWorkload(WorkloadParams params, SimConfig config,
+                               bool useOracle)
+    : config_(config), name_(params.name), useOracle_(useOracle)
 {
     TelemetryScope span("runner.materialize");
     span.attr("workload", name_);
@@ -120,8 +72,9 @@ SharedWorkload::SharedWorkload(WorkloadParams params, SimConfig config)
         span.attr("instructions", image_->size());
 }
 
-SharedWorkload::SharedWorkload(TraceSource &source, SimConfig config)
-    : config_(config), name_(source.name())
+SharedWorkload::SharedWorkload(TraceSource &source, SimConfig config,
+                               bool useOracle)
+    : config_(config), name_(source.name()), useOracle_(useOracle)
 {
     TelemetryScope span("runner.materialize");
     span.attr("workload", name_);
@@ -145,117 +98,91 @@ SimResult
 SharedWorkload::run(const SchemeSpec &scheme) const
 {
     auto org = makeScheme(scheme, config_);
-    return run(*org);
+    return run(*org, wholeRun());
 }
 
-SimResult
-SharedWorkload::run(const std::string &spec) const
+SimInterval
+SharedWorkload::wholeRun() const
 {
-    return run(parseScheme(spec));
-}
-
-SimResult
-SharedWorkload::run(IcacheOrg &org) const
-{
-    MemoryTraceSource cursor = source();
-    Simulator simulator(config_);
-    return simulator.run(cursor, org,
-                         oracleEnabled_ ? &oracle() : nullptr);
-}
-
-SimResult
-SharedWorkload::runCheckpointed(const SchemeSpec &scheme,
-                                const std::string &inflightPath,
-                                std::uint64_t checkpointEvery) const
-{
-    auto org = makeScheme(scheme, config_);
-    MemoryTraceSource cursor = source();
-    SimEngine engine(config_, cursor, *org,
-                     oracleEnabled_ ? &oracle() : nullptr);
-
     const std::uint64_t total = instructions();
-    const std::uint64_t warmup = static_cast<std::uint64_t>(
+    SimInterval region;
+    region.begin = static_cast<std::uint64_t>(
         static_cast<double>(total) * config_.warmupFraction);
+    region.end = total;
+    return region;
+}
 
-    const bool resuming = [&] {
-        std::ifstream probe(inflightPath, std::ios::binary);
+DemandOracle
+SharedWorkload::buildIntervalOracle(const SimInterval &region) const
+{
+    TelemetryScope span("runner.oracle");
+    if (span.live()) {
+        span.attr("workload", name_);
+        span.attr("region_begin", region.warmStart);
+        span.attr("region_end", region.end);
+    }
+    // Region-local oracle: next-use indices must align with the
+    // demand sequence the engine walks, which starts at warmStart.
+    // OPT-style schemes therefore see Belady decisions local to the
+    // interval — the standard sampled-simulation approximation.
+    MemoryTraceSource cursor(image_, name_, region.warmStart,
+                             region.end);
+    return DemandOracle::build(cursor, config_.fetchWidth);
+}
+
+SimResult
+SharedWorkload::run(IcacheOrg &org, const SimInterval &region,
+                    const DemandOracle *oracle,
+                    const InflightCheckpoint *checkpoint) const
+{
+    ACIC_ASSERT(region.funcStart <= region.warmStart &&
+                    region.warmStart <= region.begin &&
+                    region.begin <= region.end &&
+                    region.end <= instructions(),
+                "malformed simulation region");
+    DemandOracle local;
+    if (oracle == nullptr && useOracle_) {
+        if (region == wholeRun()) {
+            oracle = &this->oracle();
+        } else {
+            local = buildIntervalOracle(region);
+            oracle = &local;
+        }
+    }
+    MemoryTraceSource cursor(image_, name_, region.warmStart,
+                             region.end);
+    SimEngine engine(config_, cursor, org, oracle);
+    // Functionally replay the prefix (bounded by the planning
+    // horizon) to warm predictors, organization metadata, and the
+    // L2/L3 before the timed warmup region.
+    if (region.warmStart > region.funcStart) {
+        MemoryTraceSource prefix(image_, name_, region.funcStart,
+                                 region.warmStart);
+        engine.functionalWarm(prefix);
+    }
+    const bool resuming = checkpoint != nullptr && [&] {
+        std::ifstream probe(checkpoint->path, std::ios::binary);
         return probe.good();
     }();
     if (resuming)
-        engine.loadCheckpoint(inflightPath);
+        engine.loadCheckpoint(checkpoint->path);
     else
-        engine.warmUp(warmup);
+        engine.warmUp(region.warmup());
 
     // Chunked measure planned on nominal targets (plannedTarget()),
     // not retired(): the retire stage overshoots targets by bundle
     // granularity, and only target arithmetic makes
     // warmUp + measure(a) + measure(b) land on the same final target
     // as the monolithic warmUp + measure(a + b).
-    const std::uint64_t every =
-        checkpointEvery == 0 ? total : checkpointEvery;
-    while (engine.plannedTarget() < total) {
-        const std::uint64_t left = total - engine.plannedTarget();
-        engine.measure(left < every ? left : every);
-        if (checkpointEvery != 0 && engine.plannedTarget() < total)
-            engine.saveCheckpoint(inflightPath);
+    const std::uint64_t span = region.end - region.warmStart;
+    const bool saving = checkpoint != nullptr && checkpoint->every != 0;
+    const std::uint64_t every = saving ? checkpoint->every : span;
+    while (engine.plannedTarget() < span) {
+        engine.measure(
+            std::min(span - engine.plannedTarget(), every));
+        if (saving && engine.plannedTarget() < span)
+            engine.saveCheckpoint(checkpoint->path);
     }
-    return engine.finish();
-}
-
-DemandOracle
-SharedWorkload::buildIntervalOracle(const SimInterval &interval) const
-{
-    TelemetryScope span("runner.oracle");
-    if (span.live()) {
-        span.attr("workload", name_);
-        span.attr("region_begin", interval.warmStart);
-        span.attr("region_end", interval.end);
-    }
-    // Region-local oracle: next-use indices must align with the
-    // demand sequence the engine walks, which starts at warmStart.
-    // OPT-style schemes therefore see Belady decisions local to the
-    // interval — the standard sampled-simulation approximation.
-    MemoryTraceSource cursor(image_, name_, interval.warmStart,
-                             interval.end);
-    return DemandOracle::build(cursor, config_.fetchWidth);
-}
-
-SimResult
-SharedWorkload::runInterval(const SchemeSpec &scheme,
-                            const SimInterval &interval,
-                            const DemandOracle *oracle) const
-{
-    auto org = makeScheme(scheme, config_);
-    return runInterval(*org, interval, oracle);
-}
-
-SimResult
-SharedWorkload::runInterval(IcacheOrg &org,
-                            const SimInterval &interval,
-                            const DemandOracle *oracle) const
-{
-    ACIC_ASSERT(interval.funcStart <= interval.warmStart &&
-                    interval.warmStart <= interval.begin &&
-                    interval.begin <= interval.end,
-                "malformed simulation interval");
-    DemandOracle local;
-    if (oracle == nullptr && oracleEnabled_) {
-        local = buildIntervalOracle(interval);
-        oracle = &local;
-    }
-    MemoryTraceSource cursor(image_, name_, interval.warmStart,
-                             interval.end);
-    SimEngine engine(config_, cursor, org, oracle);
-    // Functionally replay the prefix (bounded by the planning
-    // horizon) to warm predictors, organization metadata, and the
-    // L2/L3 before the timed warmup region.
-    if (interval.warmStart > interval.funcStart) {
-        MemoryTraceSource prefix(image_, name_, interval.funcStart,
-                                 interval.warmStart);
-        engine.functionalWarm(prefix);
-    }
-    engine.warmUp(interval.warmup());
-    engine.measure(interval.measured());
     return engine.finish();
 }
 

@@ -1,15 +1,13 @@
 /**
  * @file
- * Bench/example convenience layer: a WorkloadContext owns one
- * workload's trace and oracle (built once) and runs any scheme
- * against it, so every bench binary is a short loop over
- * (workload x scheme).
- *
- * SharedWorkload is the thread-safe variant the experiment driver
- * uses: the trace is materialized into immutable shared storage and
- * the oracle is built once, after which any number of worker threads
- * can run() schemes concurrently — each run gets a private cursor
- * over the shared image and a private simulator/organization.
+ * The one batch run path. A SharedWorkload owns one workload's trace,
+ * materialized into immutable shared storage, and its lazily built
+ * Belady oracle; any number of worker threads can then run schemes
+ * against it concurrently. Every batch simulation (benches, examples,
+ * the experiment driver's cells and interval shards, checkpointed
+ * cells) is one call of SharedWorkload::run over a SimInterval region
+ * of the image: a monolithic run is the region wholeRun(), an
+ * interval shard is one planIntervals() region.
  */
 
 #ifndef ACIC_SIM_RUNNER_HH
@@ -19,17 +17,21 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
+#include "cache/icache_org.hh"
+#include "sim/oracle.hh"
 #include "sim/scheme.hh"
+#include "sim/sim_config.hh"
 #include "sim/simulator.hh"
 #include "trace/memory.hh"
-#include "trace/synthetic.hh"
 #include "trace/workload_params.hh"
 
 namespace acic {
 
 /**
- * One shard of an interval-parallel run: instructions
+ * One region of a run — the whole trace (SharedWorkload::wholeRun)
+ * or one shard of an interval-parallel run: instructions
  * [funcStart, warmStart) functionally warm the long-lived state
  * (branch predictors, organization metadata, L2/L3 contents — see
  * SimEngine::functionalWarm), [warmStart, begin) warm under full
@@ -46,6 +48,12 @@ struct SimInterval
 
     std::uint64_t measured() const { return end - begin; }
     std::uint64_t warmup() const { return begin - warmStart; }
+
+    bool operator==(const SimInterval &o) const
+    {
+        return funcStart == o.funcStart && warmStart == o.warmStart &&
+               begin == o.begin && end == o.end;
+    }
 };
 
 /**
@@ -79,37 +87,17 @@ planIntervals(std::uint64_t measureBegin, std::uint64_t measureEnd,
               unsigned intervals, std::uint64_t warmup,
               std::uint64_t warmHorizon = 0);
 
-/** See file comment. */
-class WorkloadContext
+/**
+ * In-flight snapshot of a run: every @p every retired instructions the
+ * engine saves itself to @p path (atomically, temp-file + rename), and
+ * a run that finds @p path already present resumes from it instead of
+ * warming up. every == 0 disables the snapshots; the run still
+ * resumes from an existing file.
+ */
+struct InflightCheckpoint
 {
-  public:
-    /**
-     * @param params workload definition (instructions may be
-     *        overridden by the ACIC_TRACE_LEN env var for quick runs).
-     * @param config simulator configuration.
-     */
-    WorkloadContext(WorkloadParams params, SimConfig config = {});
-
-    /** Run a registered scheme. */
-    SimResult run(const SchemeSpec &scheme);
-
-    /** Parse-and-run convenience: any registry spec string. */
-    SimResult run(const std::string &spec);
-
-    /** Run a custom organization (sensitivity sweeps). */
-    SimResult run(IcacheOrg &org);
-
-    const DemandOracle &oracle() const { return oracle_; }
-    SyntheticWorkload &trace() { return trace_; }
-    const SimConfig &config() const { return config_; }
-
-    /** Apply the ACIC_TRACE_LEN override to a parameter block. */
-    static WorkloadParams withEnvOverrides(WorkloadParams params);
-
-  private:
-    SimConfig config_;
-    SyntheticWorkload trace_;
-    DemandOracle oracle_;
+    std::string path;
+    std::uint64_t every = 0;
 };
 
 /** See file comment. Immutable after construction; run() is const. */
@@ -118,84 +106,73 @@ class SharedWorkload
   public:
     /**
      * Generate @p params synthetically as given, materialize, and
-     * build the oracle once. Unlike WorkloadContext, ACIC_TRACE_LEN
-     * is NOT applied here — callers owning a length precedence (the
-     * experiment driver ranks explicit overrides above the env var)
-     * apply withEnvOverrides() themselves.
+     * (lazily) build the oracle. ACIC_TRACE_LEN is NOT applied here;
+     * callers wanting it apply withEnvOverrides() themselves.
+     *
+     * @param useOracle hand runs the Belady oracle (the default).
+     *        Without it the engine gets a null oracle: OPT-style
+     *        schemes see "never reused" for every block — what a
+     *        single-pass live stream (`acic_run serve`) can compute.
+     *        The advisory accuracy counters (match_opt, acic.*) are
+     *        then computed from sentinel next-use values and are not
+     *        meaningful.
      */
-    SharedWorkload(WorkloadParams params, SimConfig config = {});
+    SharedWorkload(WorkloadParams params, SimConfig config = {},
+                   bool useOracle = true);
 
     /**
      * Adopt an existing source (e.g. a FileTraceSource): materialize
-     * it and build the oracle once. @p source is reset around the
-     * capture and not retained.
+     * it. @p source is reset around the capture and not retained.
      */
-    SharedWorkload(TraceSource &source, SimConfig config = {});
+    SharedWorkload(TraceSource &source, SimConfig config = {},
+                   bool useOracle = true);
 
-    /** Run a registered scheme. Safe to call from any thread. */
+    /** Run a registered scheme over wholeRun(). */
     SimResult run(const SchemeSpec &scheme) const;
 
-    /** Parse-and-run convenience: any registry spec string. */
-    SimResult run(const std::string &spec) const;
-
     /**
-     * Run a caller-owned organization. Safe to call from any thread
-     * as long as @p org itself is not shared across threads.
-     */
-    SimResult run(IcacheOrg &org) const;
-
-    /**
-     * run(scheme) with periodic mid-measure checkpoints: every
-     * @p checkpointEvery retired instructions the engine snapshots
-     * itself to @p inflightPath (atomically, temp-file + rename). If
-     * @p inflightPath already exists when the run starts, the engine
-     * resumes from it instead of warming up from the trace start —
-     * the chunked phases accumulate (warmUp + measure(a) +
+     * Simulate @p org over @p region of the shared image — the one
+     * function that drives a SimEngine:
+     *
+     *  1. a private cursor over [region.warmStart, region.end);
+     *  2. functionalWarm over [region.funcStart, region.warmStart);
+     *  3. loadCheckpoint(@p checkpoint->path) if that file exists,
+     *     otherwise warmUp(region.warmup());
+     *  4. measure up to region.end, in chunks of checkpoint->every
+     *     with a saveCheckpoint between chunks when checkpointing;
+     *  5. finish().
+     *
+     * The chunked phases accumulate (warmUp + measure(a) +
      * measure(b) == warmUp + measure(a+b)), so an interrupted and
      * resumed run finishes with byte-identical statistics to an
-     * uninterrupted one. A corrupt or mismatched checkpoint makes
-     * loadCheckpoint() throw SerializeError; nothing is silently
-     * recomputed. The caller removes @p inflightPath once the final
-     * result is published. @p checkpointEvery == 0 disables the
-     * in-flight snapshots (the run still resumes from an existing
-     * file).
-     */
-    SimResult runCheckpointed(const SchemeSpec &scheme,
-                              const std::string &inflightPath,
-                              std::uint64_t checkpointEvery) const;
-
-    /**
-     * Simulate one interval shard: a private region cursor over
-     * [interval.warmStart, interval.end) of the shared image, a
-     * region-local oracle, warmUp(interval.warmup()), and
-     * measure(interval.measured()). Safe to call from any thread;
-     * this is the per-worker unit of interval-parallel simulation.
-     * Note config().warmupFraction does NOT apply — the interval's
-     * explicit warmup region replaces it.
+     * uninterrupted one. A corrupt or mismatched checkpoint throws
+     * SerializeError; nothing is silently recomputed. The caller
+     * removes the checkpoint file once the result is published.
      *
-     * @param oracle optional pre-built region oracle whose indices
-     *        start at interval.warmStart (see buildIntervalOracle).
-     *        The oracle depends only on the region, so callers
-     *        running many schemes over the same shard build it once;
-     *        when null, a region-local oracle is built internally.
+     * Oracle: @p oracle when given (indices starting at
+     * region.warmStart, see buildIntervalOracle); otherwise, with
+     * the oracle enabled, the shared whole-trace oracle() for
+     * wholeRun() and a freshly built region-local oracle for any
+     * other region. Safe to call from any thread as long as @p org
+     * is not shared across threads.
      */
-    SimResult runInterval(const SchemeSpec &scheme,
-                          const SimInterval &interval,
-                          const DemandOracle *oracle = nullptr) const;
-
-    /** As above with a caller-owned organization. */
-    SimResult runInterval(IcacheOrg &org,
-                          const SimInterval &interval,
-                          const DemandOracle *oracle = nullptr) const;
+    SimResult run(IcacheOrg &org, const SimInterval &region,
+                  const DemandOracle *oracle = nullptr,
+                  const InflightCheckpoint *checkpoint = nullptr) const;
 
     /**
-     * Build the region-local oracle of one shard — the demand
-     * sequence over [interval.warmStart, interval.end), indices
-     * starting at warmStart — for sharing across runInterval()
-     * calls of different schemes.
+     * The monolithic region: warm up on the first
+     * total * config().warmupFraction instructions, measure the rest.
      */
-    DemandOracle
-    buildIntervalOracle(const SimInterval &interval) const;
+    SimInterval wholeRun() const;
+
+    /**
+     * Build the region-local oracle of one region — the demand
+     * sequence over [region.warmStart, region.end), indices starting
+     * at warmStart — for sharing across run() calls of different
+     * schemes over the same region.
+     */
+    DemandOracle buildIntervalOracle(const SimInterval &region) const;
 
     /** A fresh private cursor over the shared trace image. */
     MemoryTraceSource source() const
@@ -215,23 +192,11 @@ class SharedWorkload
     const std::string &name() const { return name_; }
     std::uint64_t instructions() const { return image_->size(); }
 
-    /**
-     * Enable/disable the Belady oracle for subsequent run*() calls
-     * (default on). Disabled, run()/runCheckpointed()/runInterval()
-     * hand the engine a null oracle — OPT-style schemes then see
-     * "never reused" for every block, and the advisory accuracy
-     * counters (match_opt, acic.*_r<N>) stay zero, matching what a
-     * single-pass live stream (`acic_run serve`) can compute. Set
-     * before sharing across threads; not synchronized.
-     */
-    void setOracleEnabled(bool enabled) { oracleEnabled_ = enabled; }
-    bool oracleEnabled() const { return oracleEnabled_; }
-
   private:
     SimConfig config_;
     std::string name_;
     TraceImage image_;
-    bool oracleEnabled_ = true;
+    bool useOracle_;
     mutable std::once_flag oracleOnce_;
     mutable DemandOracle oracle_;
 };

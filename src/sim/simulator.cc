@@ -2,25 +2,8 @@
 
 #include "common/logging.hh"
 #include "common/serialize.hh"
-#include "sim/engine.hh"
 
 namespace acic {
-
-Simulator::Simulator(SimConfig config) : config_(config) {}
-
-SimResult
-Simulator::run(TraceSource &trace, IcacheOrg &org,
-               const DemandOracle *oracle)
-{
-    const std::uint64_t total_insts = trace.length();
-    const std::uint64_t warmup_insts = static_cast<std::uint64_t>(
-        static_cast<double>(total_insts) * config_.warmupFraction);
-
-    SimEngine engine(config_, trace, org, oracle);
-    engine.warmUp(warmup_insts);
-    engine.measure(total_insts - warmup_insts);
-    return engine.finish();
-}
 
 void
 SimResult::save(Serializer &s) const

@@ -1,19 +1,10 @@
 /**
  * @file
- * Trace-driven timing simulator of the decoupled front end (Sec.
- * IV-A infrastructure substitute). Per cycle: MSHR fills complete,
- * the backend retires up to 6 instructions from the decode queue, the
- * fetch unit services the FTQ head against the L1i organization, the
- * branch-prediction unit (TAGE + BTB + RAS) enqueues the next fetch
- * bundle, and the prefetcher (FDP along the FTQ, or the entangling
- * prefetcher) issues block prefetches. Correct-path only: a predicted-
- * wrong branch stalls bundle supply for the redirect penalty, the
- * standard ChampSim-style approximation (DESIGN.md, substitution 2).
- *
- * The per-cycle stepping core lives in sim/engine.hh (SimEngine /
- * MachineState, the resumable phase API); this header keeps the
- * one-shot run() wrapper, the SimResult record, and the
- * interval-merge helper.
+ * Result record of a simulation run of the decoupled front end (Sec.
+ * IV-A infrastructure substitute) and the interval-merge helper. The
+ * per-cycle stepping core lives in sim/engine.hh (SimEngine /
+ * MachineState, the resumable phase API); SharedWorkload::run
+ * (sim/runner.hh) is the batch path that drives it.
  */
 
 #ifndef ACIC_SIM_SIMULATOR_HH
@@ -23,12 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "cache/icache_org.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "sim/oracle.hh"
-#include "sim/sim_config.hh"
-#include "trace/trace.hh"
 
 namespace acic {
 
@@ -79,30 +66,6 @@ struct SimResult
     /** Checkpoint the result record (completed-cell files). */
     void save(Serializer &s) const;
     void load(Deserializer &d);
-};
-
-/**
- * See file comment. The stepping core lives in SimEngine
- * (sim/engine.hh); this is the one-shot convenience wrapper:
- * warmUp(total * warmupFraction) then measure(the rest).
- */
-class Simulator
-{
-  public:
-    explicit Simulator(SimConfig config = {});
-
-    /**
-     * Run @p trace against @p org.
-     * @param oracle optional next-use annotations; required for OPT,
-     *        OPT-bypass, and accuracy instrumentation.
-     */
-    SimResult run(TraceSource &trace, IcacheOrg &org,
-                  const DemandOracle *oracle = nullptr);
-
-    const SimConfig &config() const { return config_; }
-
-  private:
-    SimConfig config_;
 };
 
 /**

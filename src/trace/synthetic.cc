@@ -350,4 +350,16 @@ SyntheticWorkload::next(TraceInst &out)
     return true;
 }
 
+const TraceInst *
+SyntheticWorkload::acquireRun(std::uint64_t max, std::uint64_t &n)
+{
+    constexpr std::uint64_t kRunRecords = 4096;
+    run_.resize(static_cast<std::size_t>(
+        std::min({max, kRunRecords, params_.instructions - emitted_})));
+    n = 0;
+    while (n < run_.size() && SyntheticWorkload::next(run_[n]))
+        ++n;
+    return n == 0 ? nullptr : run_.data();
+}
+
 } // namespace acic

@@ -39,6 +39,9 @@ class SyntheticWorkload : public TraceSource
 
     void reset() override;
     bool next(TraceInst &out) override;
+    /** Generates the run into an owned block of up to 4096 records. */
+    const TraceInst *acquireRun(std::uint64_t max,
+                                std::uint64_t &n) override;
     std::uint64_t length() const override { return params_.instructions; }
     const std::string &name() const override { return params_.name; }
 
@@ -124,6 +127,7 @@ class SyntheticWorkload : public TraceSource
     std::uint32_t phase_ = 0;
     std::int64_t phaseBudget_ = 0;
     std::uint64_t emitted_ = 0;
+    std::vector<TraceInst> run_; ///< block served by acquireRun()
 };
 
 } // namespace acic

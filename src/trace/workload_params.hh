@@ -119,6 +119,15 @@ struct Workloads
     static WorkloadParams byName(const std::string &name);
 };
 
+/**
+ * Apply the ACIC_TRACE_LEN override (a positive instruction count)
+ * to @p params, for quick runs. A malformed or non-positive value is
+ * ignored with a warning. Callers that own a length precedence (the
+ * experiment driver ranks an explicit override above the env var)
+ * apply their own override afterwards.
+ */
+WorkloadParams withEnvOverrides(WorkloadParams params);
+
 } // namespace acic
 
 #endif // ACIC_TRACE_WORKLOAD_PARAMS_HH

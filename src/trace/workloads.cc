@@ -1,5 +1,8 @@
 #include "trace/workload_params.hh"
 
+#include <cerrno>
+#include <cstdlib>
+
 #include "common/logging.hh"
 #include "trace/catalog.hh"
 
@@ -218,6 +221,28 @@ Workloads::byName(const std::string &name)
     if (!entry)
         ACIC_FATAL("unknown workload name");
     return entry->params;
+}
+
+WorkloadParams
+withEnvOverrides(WorkloadParams params)
+{
+    const char *env = std::getenv("ACIC_TRACE_LEN");
+    if (!env)
+        return params;
+    errno = 0;
+    char *end = nullptr;
+    const long long v = std::strtoll(env, &end, 10);
+    if (end == env || *end != '\0' || errno == ERANGE) {
+        warn("ACIC_TRACE_LEN is not a number; ignoring override");
+        return params;
+    }
+    if (v <= 0) {
+        warn("ACIC_TRACE_LEN must be a positive instruction count; "
+             "ignoring override");
+        return params;
+    }
+    params.instructions = static_cast<std::uint64_t>(v);
+    return params;
 }
 
 } // namespace acic

@@ -118,6 +118,33 @@ expectSameStream(const std::vector<TraceInst> &a,
     }
 }
 
+/** A source without contiguous storage: next() only. */
+class NextOnlySource : public TraceSource
+{
+  public:
+    explicit NextOnlySource(std::vector<TraceInst> stream)
+        : stream_(std::move(stream))
+    {
+    }
+
+    void reset() override { pos_ = 0; }
+    bool
+    next(TraceInst &out) override
+    {
+        if (pos_ == stream_.size())
+            return false;
+        out = stream_[pos_++];
+        return true;
+    }
+    std::uint64_t length() const override { return stream_.size(); }
+    const std::string &name() const override { return name_; }
+
+  private:
+    std::vector<TraceInst> stream_;
+    std::size_t pos_ = 0;
+    std::string name_ = "next_only";
+};
+
 } // namespace
 
 TEST(BatchDecode, BatchedEqualsScalarOnSeededRandomTraces)
@@ -322,18 +349,44 @@ TEST(BatchDecode, MemorySourceRunAndBatchMatchScalar)
 
 TEST(BatchDecode, DefaultAcquireRunDeclinesWithoutConsuming)
 {
-    auto params = Workloads::byName("web_search");
-    params.instructions = 1'000;
-    SyntheticWorkload synth(params);
+    NextOnlySource source(randomStream(17, 1'000));
 
     // The base-class default must refuse (no contiguous storage) and
     // consume nothing: the stream then plays out in full via next().
     std::uint64_t n = 42;
-    EXPECT_EQ(synth.acquireRun(~std::uint64_t{0}, n), nullptr);
+    EXPECT_EQ(source.acquireRun(~std::uint64_t{0}, n), nullptr);
     EXPECT_EQ(n, 0u);
     std::uint64_t count = 0;
     TraceInst inst;
-    while (synth.next(inst))
+    while (source.next(inst))
         ++count;
     EXPECT_EQ(count, 1'000u);
+}
+
+TEST(BatchDecode, SyntheticRunsMatchNext)
+{
+    auto params = Workloads::byName("web_search");
+    params.instructions = 10'000;
+    SyntheticWorkload reference(params);
+    std::vector<TraceInst> expected;
+    TraceInst inst;
+    while (reference.next(inst))
+        expected.push_back(inst);
+
+    // Runs of varying size interleaved with next() play the same
+    // stream, and an exhausted generator returns an empty run.
+    SyntheticWorkload runs(params);
+    std::vector<TraceInst> got;
+    std::uint64_t n = 0;
+    for (std::uint64_t max = 1;; max = max * 3 + 1) {
+        const TraceInst *run = runs.acquireRun(max, n);
+        if (run == nullptr)
+            break;
+        EXPECT_LE(n, max);
+        got.insert(got.end(), run, run + n);
+        if (runs.next(inst))
+            got.push_back(inst);
+    }
+    EXPECT_EQ(n, 0u);
+    expectSameStream(expected, got);
 }

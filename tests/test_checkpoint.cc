@@ -183,7 +183,8 @@ TEST(CheckpointRoundTrip, ChunkedCheckpointsComposeAcrossManyCuts)
 TEST(CheckpointRoundTrip, RunCheckpointedResumesFromInflightFile)
 {
     // The driver-facing primitive: interrupt by saving an in-flight
-    // file mid-run, then let runCheckpointed() find and finish it.
+    // file mid-run, then let the one run function find and finish
+    // it.
     const SharedWorkload &shared = workload();
     const SchemeSpec spec = parseScheme("lru");
     const std::string path = "acic_test_inflight.ckpt";
@@ -199,8 +200,10 @@ TEST(CheckpointRoundTrip, RunCheckpointedResumesFromInflightFile)
         engine.measure(7'321);
         engine.saveCheckpoint(path);
     }
+    auto org = makeScheme(spec, shared.config());
+    const InflightCheckpoint inflight{path, 10'000};
     const SimResult resumed =
-        shared.runCheckpointed(spec, path, 10'000);
+        shared.run(*org, shared.wholeRun(), nullptr, &inflight);
     EXPECT_EQ(golden(shared.run(spec)), golden(resumed));
     std::remove(path.c_str());
 }
@@ -428,6 +431,38 @@ TEST(CheckpointDriver, CorruptCellFileIsRejectedNotResimulated)
                   std::string::npos)
             << "actual diagnostic: " << e.what();
     }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointDriver, ResumeRemovesStaleFilesOfOwnedCellsOnly)
+{
+    // A kill between publishing a cell and removing its in-flight
+    // snapshot, or in the middle of a checkpoint write, leaves files
+    // behind. A resumed shard removes those of the cells it owns and
+    // leaves a sibling shard's files alone.
+    const std::string dir = "acic_test_ckpt_stale";
+    std::filesystem::remove_all(dir);
+    ExperimentSpec spec = smallMatrix();
+    spec.checkpointDir = dir;
+    spec.shardCount = 2;
+    spec.shardIndex = 0; // owns cells (0, 0) and (1, 0)
+    ExperimentDriver(spec).run();
+
+    const std::string stale_snapshot = dir + "/inflight/cell_0_0.ckpt";
+    const std::string owned_tmps[] = {
+        dir + "/inflight/cell_1_0.ckpt.tmp.4242.7",
+        dir + "/cells/cell_0_0.bin.tmp.4242.8"};
+    const std::string foreign_tmp =
+        dir + "/inflight/cell_0_1.ckpt.tmp.4242.9";
+    for (const std::string &path :
+         {stale_snapshot, owned_tmps[0], owned_tmps[1], foreign_tmp})
+        std::ofstream(path) << "left by a killed run";
+
+    ExperimentDriver(spec).run();
+    EXPECT_FALSE(std::filesystem::exists(stale_snapshot));
+    for (const std::string &path : owned_tmps)
+        EXPECT_FALSE(std::filesystem::exists(path)) << path;
+    EXPECT_TRUE(std::filesystem::exists(foreign_tmp));
     std::filesystem::remove_all(dir);
 }
 

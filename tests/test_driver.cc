@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests of the experiment-driver subsystem: thread-pool draining,
- * SharedWorkload equivalence with the serial WorkloadContext path,
+ * equivalence of the one SharedWorkload run path with checkpointed
+ * and directly stepped runs,
  * thread-count invariance of driver results, trace-dir replay, the
  * CSV/JSON emitters, StatSet ostream dumping, and the hardened
  * ACIC_TRACE_LEN parsing.
@@ -11,6 +12,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,7 +21,9 @@
 #include "driver/emitters.hh"
 #include "driver/experiment.hh"
 #include "driver/thread_pool.hh"
+#include "sim/engine.hh"
 #include "trace/io.hh"
+#include "trace/synthetic.hh"
 
 using namespace acic;
 
@@ -77,6 +81,14 @@ countCommas(const std::string &line)
     return n;
 }
 
+std::string
+goldenDump(const SimResult &result)
+{
+    std::ostringstream out;
+    writeGoldenDump(out, result);
+    return out.str();
+}
+
 } // namespace
 
 TEST(ThreadPool, DrainsTransitiveTaskGraph)
@@ -106,15 +118,41 @@ TEST(ThreadPool, ZeroMeansHardwareConcurrency)
     EXPECT_GE(pool.threads(), 1u);
 }
 
-TEST(SharedWorkload, MatchesSerialWorkloadContext)
+TEST(SharedWorkload, OneRunPathMatchesCheckpointedAndLiveEngine)
 {
+    // The one run function over wholeRun() must equal the same run
+    // checkpointed in flight, and an engine stepped directly over
+    // the live generator (so the materialized image replays the
+    // source stream exactly).
     auto params = Workloads::byName("web_search");
     params.instructions = 50'000;
+    const SharedWorkload shared(params);
+    const SimConfig &config = shared.config();
+    const SimInterval whole = shared.wholeRun();
+    for (const char *s : {"lru", "acic", "opt_bypass"}) {
+        const SchemeSpec spec = parseScheme(s);
+        const SimResult plain = shared.run(spec);
 
-    WorkloadContext serial(params);
-    SharedWorkload shared(params);
-    for (const char *s : {"lru", "acic", "opt"})
-        expectSameResult(serial.run(s), shared.run(s));
+        const InflightCheckpoint inflight{
+            std::string("one_path_") + s + ".ckpt", 10'000};
+        std::remove(inflight.path.c_str());
+        auto org = makeScheme(spec, config);
+        const SimResult checkpointed =
+            shared.run(*org, whole, nullptr, &inflight);
+        EXPECT_TRUE(std::ifstream(inflight.path).good()) << s;
+        std::remove(inflight.path.c_str());
+
+        SyntheticWorkload live(params);
+        const DemandOracle oracle =
+            DemandOracle::build(live, config.fetchWidth);
+        auto live_org = makeScheme(spec, config);
+        SimEngine engine(config, live, *live_org, &oracle);
+        engine.warmUp(whole.warmup());
+        engine.measure(whole.measured());
+
+        EXPECT_EQ(goldenDump(plain), goldenDump(checkpointed)) << s;
+        EXPECT_EQ(goldenDump(plain), goldenDump(engine.finish())) << s;
+    }
 }
 
 TEST(SharedWorkload, ConcurrentRunsAreIndependent)
@@ -122,14 +160,15 @@ TEST(SharedWorkload, ConcurrentRunsAreIndependent)
     auto params = Workloads::byName("tpcc");
     params.instructions = 40'000;
     const SharedWorkload shared(params);
-    const SimResult expected = shared.run("acic");
+    const SimResult expected = shared.run(parseScheme("acic"));
 
     std::vector<SimResult> results(8);
     {
         ThreadPool pool(4);
         for (auto &slot : results)
-            pool.submit(
-                [&shared, &slot] { slot = shared.run("acic"); });
+            pool.submit([&shared, &slot] {
+                slot = shared.run(parseScheme("acic"));
+            });
         pool.wait();
     }
     for (const auto &r : results)
@@ -337,13 +376,10 @@ TEST(Runner, EnvOverrideRejectsGarbage)
 
     for (const char *bad : {"abc", "12x", "0", "-5", ""}) {
         ::setenv("ACIC_TRACE_LEN", bad, 1);
-        EXPECT_EQ(WorkloadContext::withEnvOverrides(params)
-                      .instructions,
-                  preset)
+        EXPECT_EQ(withEnvOverrides(params).instructions, preset)
             << "value '" << bad << "' must be rejected";
     }
     ::setenv("ACIC_TRACE_LEN", "2345", 1);
-    EXPECT_EQ(WorkloadContext::withEnvOverrides(params).instructions,
-              2'345u);
+    EXPECT_EQ(withEnvOverrides(params).instructions, 2'345u);
     ::unsetenv("ACIC_TRACE_LEN");
 }

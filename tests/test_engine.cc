@@ -69,7 +69,7 @@ TEST(SimEngine, PhaseApiMatchesLegacyRunBitForBit)
         shared.config().warmupFraction);
 
     for (const char *spec : {"lru", "acic", "srrip", "opt_bypass"}) {
-        const SimResult legacy = shared.run(std::string(spec));
+        const SimResult legacy = shared.run(parseScheme(spec));
         const SimResult phased =
             phasedRun(shared, spec, warmup, total - warmup);
         EXPECT_EQ(dumpOf(legacy), dumpOf(phased)) << spec;
@@ -126,8 +126,7 @@ TEST(SimEngine, TraceLenOverrideSnapshotsWarmupExactlyOnce)
     for (const char *len : {"30000", "5000", "1"}) {
         ASSERT_EQ(setenv("ACIC_TRACE_LEN", len, 1), 0);
         WorkloadParams params = Workloads::byName("tpcc");
-        const WorkloadParams effective =
-            WorkloadContext::withEnvOverrides(params);
+        const WorkloadParams effective = withEnvOverrides(params);
         unsetenv("ACIC_TRACE_LEN");
         ASSERT_EQ(effective.instructions,
                   std::strtoull(len, nullptr, 10));
@@ -138,7 +137,7 @@ TEST(SimEngine, TraceLenOverrideSnapshotsWarmupExactlyOnce)
             static_cast<double>(total) *
             shared.config().warmupFraction);
 
-        const SimResult legacy = shared.run(std::string("acic"));
+        const SimResult legacy = shared.run(parseScheme("acic"));
         // The measured span is the nominal post-warmup region even
         // when retirement overshoots the warmup target mid-cycle —
         // a second snapshot would shrink it.
@@ -237,7 +236,7 @@ TEST(SimEngine, FullWarmupShardsMergeToFullRunUpToSeamCycles)
     const auto warm = static_cast<std::uint64_t>(
         static_cast<double>(total) *
         shared.config().warmupFraction);
-    const SimResult full = shared.run(std::string("acic"));
+    const SimResult full = shared.run(parseScheme("acic"));
 
     constexpr unsigned kShards = 3;
     std::vector<SimResult> parts;
@@ -245,8 +244,8 @@ TEST(SimEngine, FullWarmupShardsMergeToFullRunUpToSeamCycles)
     for (SimInterval iv : plan) {
         iv.warmStart = 0; // full timed history
         iv.funcStart = 0;
-        parts.push_back(
-            shared.runInterval(parseScheme("acic"), iv));
+        auto org = makeScheme(parseScheme("acic"), shared.config());
+        parts.push_back(shared.run(*org, iv));
     }
     const SimResult merged = mergeSimResults(parts);
     const std::uint64_t seams = kShards - 1;

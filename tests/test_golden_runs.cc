@@ -133,7 +133,7 @@ liveDump(const GoldenCase &c)
         workloadNamed(c.workload, c.prefetcher);
     if (workload == nullptr)
         return ""; // caller asserts; avoids simulating garbage
-    const SimResult result = workload->run(std::string(c.scheme));
+    const SimResult result = workload->run(parseScheme(c.scheme));
     std::ostringstream out;
     writeGoldenDump(out, result);
     return out.str();

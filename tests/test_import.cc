@@ -594,7 +594,7 @@ TEST(Catalog, TraceFileEntryRunsIdenticalToDirectRead)
     // Direct FileTraceSource read...
     FileTraceSource file(path.str());
     SharedWorkload direct(file);
-    const SimResult expected = direct.run("acic");
+    const SimResult expected = direct.run(parseScheme("acic"));
 
     // ...equals a TraceFile WorkloadEntry through the driver.
     ExperimentSpec spec;

@@ -4,10 +4,10 @@
  * must agree with the monolithic pass (merged MPKI within 2% of the
  * full-run MPKI on every catalog workload — the acceptance bar of
  * the interval-simulation work), sharded execution must be
- * deterministic across thread counts, runShardedCell must match the
- * driver's own sharding, and `acic_run stat` must reject an empty
- * trace with a clear error and a nonzero exit (spawned through the
- * real CLI binary).
+ * deterministic across thread counts, one run per planned region
+ * must match the driver's own sharding, and `acic_run stat` must
+ * reject an empty trace with a clear error and a nonzero exit
+ * (spawned through the real CLI binary).
  */
 
 #include <gtest/gtest.h>
@@ -91,13 +91,21 @@ TEST(IntervalDriver, ShardedResultsIdenticalAcrossThreadCounts)
               b[0].result.orgStats.raw());
 }
 
-TEST(IntervalDriver, RunShardedCellMatchesDriverSharding)
+TEST(IntervalDriver, PerRegionRunsMatchDriverSharding)
 {
+    // The driver's sharded cell is exactly one run per planned
+    // region, merged.
     WorkloadParams params = Workloads::byName("tpcc");
     params.instructions = 150'000;
     const SharedWorkload shared(params);
-    const SimResult helper = runShardedCell(
-        shared, parseScheme("acic"), 4, 30'000, 2);
+    const SimInterval whole = shared.wholeRun();
+    std::vector<SimResult> parts;
+    for (const SimInterval &region :
+         planIntervals(whole.begin, whole.end, 4, 30'000)) {
+        auto org = makeScheme(parseScheme("acic"), shared.config());
+        parts.push_back(shared.run(*org, region));
+    }
+    const SimResult manual = mergeSimResults(parts);
 
     ExperimentSpec spec;
     spec.workloads = {params};
@@ -107,9 +115,10 @@ TEST(IntervalDriver, RunShardedCellMatchesDriverSharding)
     spec.threads = 2;
     const auto cells = ExperimentDriver(spec).run();
     ASSERT_EQ(cells.size(), 1u);
-    EXPECT_EQ(helper.cycles, cells[0].result.cycles);
-    EXPECT_EQ(helper.l1iMisses, cells[0].result.l1iMisses);
-    EXPECT_EQ(helper.instructions, cells[0].result.instructions);
+    EXPECT_EQ(manual.cycles, cells[0].result.cycles);
+    EXPECT_EQ(manual.l1iMisses, cells[0].result.l1iMisses);
+    EXPECT_EQ(manual.instructions, cells[0].result.instructions);
+    EXPECT_EQ(manual.orgStats.raw(), cells[0].result.orgStats.raw());
 }
 
 TEST(IntervalDriver, IntervalsOneUsesLegacyMonolithicPath)
@@ -120,7 +129,7 @@ TEST(IntervalDriver, IntervalsOneUsesLegacyMonolithicPath)
     WorkloadParams params = Workloads::byName("media_streaming");
     params.instructions = 100'000;
     const SharedWorkload shared(params);
-    const SimResult serial = shared.run(std::string("acic"));
+    const SimResult serial = shared.run(parseScheme("acic"));
 
     ExperimentSpec spec;
     spec.workloads = {params};

@@ -252,13 +252,14 @@ TEST(SchemeRegistry, RegistryAcicMatchesHandBuiltOrg)
     // the registry path must reproduce those results exactly.
     auto params = Workloads::byName("web_search");
     params.instructions = 40'000;
-    WorkloadContext context(params);
+    const SharedWorkload workload(params);
 
     for (const std::uint32_t filter : {8u, 16u, 32u}) {
-        auto hand = makeAcicOrg(context.config(), PredictorConfig{},
+        auto hand = makeAcicOrg(workload.config(), PredictorConfig{},
                                 CshrConfig{}, filter);
-        const SimResult expected = context.run(*hand);
-        const SimResult via_registry = context.run(parseScheme(
+        const SimResult expected =
+            workload.run(*hand, workload.wholeRun());
+        const SimResult via_registry = workload.run(parseScheme(
             "acic(filter=" + std::to_string(filter) + ")"));
         EXPECT_EQ(via_registry.cycles, expected.cycles) << filter;
         EXPECT_EQ(via_registry.l1iMisses, expected.l1iMisses)
@@ -266,11 +267,11 @@ TEST(SchemeRegistry, RegistryAcicMatchesHandBuiltOrg)
     }
 
     // Parameter defaults equal the bare preset.
-    const SimResult bare = context.run("acic");
-    const SimResult spelled = context.run(
+    const SimResult bare = workload.run(parseScheme("acic"));
+    const SimResult spelled = workload.run(parseScheme(
         "acic(filter=16,hrt=1024,history=4,counter=5,queue=10,"
         "update=pipelined,predictor=two_level,cshr=256,cshr_sets=8,"
-        "tag=12,threshold=0)");
+        "tag=12,threshold=0)"));
     EXPECT_EQ(bare.cycles, spelled.cycles);
     EXPECT_EQ(bare.l1iMisses, spelled.l1iMisses);
 }
@@ -279,15 +280,15 @@ TEST(SchemeRegistry, LruCapacityParamsMatchFixedPresets)
 {
     auto params = Workloads::byName("tpcc");
     params.instructions = 40'000;
-    WorkloadContext context(params);
+    const SharedWorkload workload(params);
 
-    const SimResult preset36 = context.run("36KB L1i");
-    const SimResult ways9 = context.run("lru(ways=9)");
+    const SimResult preset36 = workload.run(parseScheme("36KB L1i"));
+    const SimResult ways9 = workload.run(parseScheme("lru(ways=9)"));
     EXPECT_EQ(preset36.cycles, ways9.cycles);
     EXPECT_EQ(preset36.l1iMisses, ways9.l1iMisses);
 
-    const SimResult preset40 = context.run("40kb_l1i");
-    const SimResult kb40 = context.run("lru(kb=40)");
+    const SimResult preset40 = workload.run(parseScheme("40kb_l1i"));
+    const SimResult kb40 = workload.run(parseScheme("lru(kb=40)"));
     EXPECT_EQ(preset40.cycles, kb40.cycles);
     EXPECT_EQ(preset40.l1iMisses, kb40.l1iMisses);
 }
@@ -307,13 +308,14 @@ TEST(SchemeRegistry, SweepGridRunsThroughDriver)
     const auto cells = ExperimentDriver(spec).run();
     ASSERT_EQ(cells.size(), 3u);
 
-    WorkloadContext serial(params);
+    const SharedWorkload serial(params);
     static const std::uint32_t kFilters[] = {8, 16, 32};
     for (std::size_t i = 0; i < cells.size(); ++i) {
         auto hand =
             makeAcicOrg(serial.config(), PredictorConfig{},
                         CshrConfig{}, kFilters[i]);
-        const SimResult expected = serial.run(*hand);
+        const SimResult expected =
+            serial.run(*hand, serial.wholeRun());
         EXPECT_EQ(cells[i].result.cycles, expected.cycles) << i;
         EXPECT_EQ(cells[i].result.l1iMisses, expected.l1iMisses)
             << i;

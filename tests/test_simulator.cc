@@ -27,8 +27,8 @@ tinyWorkload(const char *name = "sibench",
 
 TEST(Simulator, RetiresEveryInstruction)
 {
-    WorkloadContext context(tinyWorkload());
-    const SimResult r = context.run("lru");
+    const SharedWorkload workload(tinyWorkload());
+    const SimResult r = workload.run(parseScheme("lru"));
     // Post-warmup instructions = 90% of the trace.
     EXPECT_EQ(r.instructions, 180'000u);
     EXPECT_GT(r.cycles, 0u);
@@ -36,17 +36,17 @@ TEST(Simulator, RetiresEveryInstruction)
 
 TEST(Simulator, IpcWithinPhysicalBounds)
 {
-    WorkloadContext context(tinyWorkload());
-    const SimResult r = context.run("lru");
+    const SharedWorkload workload(tinyWorkload());
+    const SimResult r = workload.run(parseScheme("lru"));
     EXPECT_GT(r.ipc(), 0.1);
     EXPECT_LE(r.ipc(), 6.0); // retire width
 }
 
 TEST(Simulator, DeterministicAcrossRuns)
 {
-    WorkloadContext context(tinyWorkload());
-    const SimResult a = context.run("lru");
-    const SimResult b = context.run("lru");
+    const SharedWorkload workload(tinyWorkload());
+    const SimResult a = workload.run(parseScheme("lru"));
+    const SimResult b = workload.run(parseScheme("lru"));
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.l1iMisses, b.l1iMisses);
     EXPECT_EQ(a.branchMispredicts, b.branchMispredicts);
@@ -54,8 +54,8 @@ TEST(Simulator, DeterministicAcrossRuns)
 
 TEST(Simulator, MissesImplyDemandAccesses)
 {
-    WorkloadContext context(tinyWorkload());
-    const SimResult r = context.run("lru");
+    const SharedWorkload workload(tinyWorkload());
+    const SimResult r = workload.run(parseScheme("lru"));
     EXPECT_GT(r.demandAccesses, 0u);
     EXPECT_LE(r.l1iMisses, r.demandAccesses);
     EXPECT_GT(r.mpki(), 0.0);
@@ -63,18 +63,18 @@ TEST(Simulator, MissesImplyDemandAccesses)
 
 TEST(Simulator, OptNeverMissesMoreThanLru)
 {
-    WorkloadContext context(tinyWorkload("media_streaming"));
-    const SimResult lru = context.run("lru");
-    const SimResult opt = context.run("opt");
+    const SharedWorkload workload(tinyWorkload("media_streaming"));
+    const SimResult lru = workload.run(parseScheme("lru"));
+    const SimResult opt = workload.run(parseScheme("opt"));
     EXPECT_LE(opt.l1iMisses, lru.l1iMisses);
     EXPECT_LE(opt.cycles, lru.cycles + lru.cycles / 100);
 }
 
 TEST(Simulator, LargerIcacheDoesNotIncreaseMisses)
 {
-    WorkloadContext context(tinyWorkload("media_streaming"));
-    const SimResult base = context.run("lru");
-    const SimResult big = context.run("l1i36k");
+    const SharedWorkload workload(tinyWorkload("media_streaming"));
+    const SimResult base = workload.run(parseScheme("lru"));
+    const SimResult big = workload.run(parseScheme("l1i36k"));
     EXPECT_LE(big.l1iMisses, base.l1iMisses + base.l1iMisses / 50);
 }
 
@@ -83,10 +83,10 @@ TEST(Simulator, PrefetchingReducesMisses)
     auto params = tinyWorkload("media_streaming");
     SimConfig no_prefetch;
     no_prefetch.prefetcher = PrefetcherKind::None;
-    WorkloadContext without(params, no_prefetch);
-    WorkloadContext with(params); // FDP default
-    const SimResult r_without = without.run("lru");
-    const SimResult r_with = with.run("lru");
+    const SharedWorkload without(params, no_prefetch);
+    const SharedWorkload with(params); // FDP default
+    const SimResult r_without = without.run(parseScheme("lru"));
+    const SimResult r_with = with.run(parseScheme("lru"));
     EXPECT_LT(r_with.l1iMisses, r_without.l1iMisses);
     EXPECT_GT(r_with.prefetchesIssued, 0u);
 }
@@ -96,17 +96,17 @@ TEST(Simulator, EntanglingPrefetcherRuns)
     auto params = tinyWorkload("media_streaming");
     SimConfig config;
     config.prefetcher = PrefetcherKind::Entangling;
-    WorkloadContext context(params, config);
-    const SimResult r = context.run("lru");
+    const SharedWorkload workload(params, config);
+    const SimResult r = workload.run(parseScheme("lru"));
     EXPECT_GT(r.prefetchesIssued, 0u);
     EXPECT_EQ(r.instructions, 180'000u);
 }
 
 TEST(Simulator, VictimCacheReducesMissesVsBaseline)
 {
-    WorkloadContext context(tinyWorkload("media_streaming"));
-    const SimResult base = context.run("lru");
-    const SimResult vc = context.run("vc3k");
+    const SharedWorkload workload(tinyWorkload("media_streaming"));
+    const SimResult base = workload.run(parseScheme("lru"));
+    const SimResult vc = workload.run(parseScheme("vc3k"));
     EXPECT_LE(vc.l1iMisses, base.l1iMisses);
 }
 
@@ -116,9 +116,9 @@ class AllSchemes : public ::testing::TestWithParam<const char *>
 
 TEST_P(AllSchemes, RunsToCompletionWithSaneMetrics)
 {
-    WorkloadContext context(tinyWorkload("data_serving", 100'000));
+    const SharedWorkload workload(tinyWorkload("data_serving", 100'000));
     const SchemeSpec spec = parseScheme(GetParam());
-    const SimResult r = context.run(spec);
+    const SimResult r = workload.run(spec);
     EXPECT_EQ(r.instructions, 90'000u);
     EXPECT_GT(r.cycles, 0u);
     EXPECT_GT(r.ipc(), 0.05);
@@ -176,9 +176,9 @@ TEST(Runner, EnvOverrideAppliesToLength)
     auto params = tinyWorkload();
     ::setenv("ACIC_TRACE_LEN", "123456", 1);
     const auto overridden =
-        WorkloadContext::withEnvOverrides(params);
+        withEnvOverrides(params);
     EXPECT_EQ(overridden.instructions, 123'456u);
     ::unsetenv("ACIC_TRACE_LEN");
-    const auto plain = WorkloadContext::withEnvOverrides(params);
+    const auto plain = withEnvOverrides(params);
     EXPECT_EQ(plain.instructions, params.instructions);
 }

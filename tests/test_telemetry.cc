@@ -222,7 +222,7 @@ TEST(Telemetry, EngineHeartbeatsFollowCadence)
     Telemetry::setHeartbeatInterval(20'000);
     TelemetrySession session;
     SharedWorkload workload(smallWorkload(100'000));
-    (void)workload.run(std::string("lru"));
+    (void)workload.run(parseScheme("lru"));
 
     const auto events = parseAll(splitLines(session.finish()));
     int heartbeats = 0;
@@ -260,7 +260,7 @@ TEST(Telemetry, ResultsAreByteIdenticalWithTelemetryOn)
 
     const auto dump = [&](const char *spec) {
         std::ostringstream out;
-        writeGoldenDump(out, workload.run(std::string(spec)));
+        writeGoldenDump(out, workload.run(parseScheme(spec)));
         return out.str();
     };
 
