@@ -15,21 +15,21 @@ using namespace acic::bench;
 int
 main()
 {
-    auto runs = buildBaselines(Workloads::datacenter());
+    const BenchMatrix m = runMatrix(parseSchemeList("lru,acic"));
 
     TablePrinter table("Sec. III-D: chip energy, ACIC vs baseline");
     table.setHeader({"workload", "baseline (mJ)", "ACIC (mJ)",
                      "delta"});
     std::vector<double> deltas;
-    for (auto &run : runs) {
-        const SimResult acic = run.workload->run(parseScheme("acic"));
+    for (std::size_t w = 0; w < m.rows(); ++w) {
         const EnergyBreakdown base_e =
-            computeEnergy(run.baseline, {}, false);
-        const EnergyBreakdown acic_e = computeEnergy(acic, {}, true);
+            computeEnergy(m.baseline(w), {}, false);
+        const EnergyBreakdown acic_e =
+            computeEnergy(m.at(w, 1), {}, true);
         const double delta =
             acic_e.totalNj() / base_e.totalNj() - 1.0;
         deltas.push_back(delta);
-        table.addRow({run.name,
+        table.addRow({m.name(w),
                       TablePrinter::fmt(base_e.totalNj() / 1e6, 3),
                       TablePrinter::fmt(acic_e.totalNj() / 1e6, 3),
                       TablePrinter::pct(delta, 2)});

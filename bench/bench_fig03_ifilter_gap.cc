@@ -7,6 +7,7 @@
  */
 
 #include "bench_util.hh"
+#include "common/logging.hh"
 
 using namespace acic;
 using namespace acic::bench;
@@ -14,36 +15,30 @@ using namespace acic::bench;
 int
 main()
 {
-    auto runs = buildBaselines(Workloads::datacenter());
+    const BenchMatrix m = runMatrix(
+        parseSchemeList("lru,always_insert,access_count,opt"));
 
     TablePrinter fig3a("Fig. 3a: speedup over LRU+FDP baseline");
     fig3a.setHeader({"workload", "Always insert", "Access count",
                      "OPT replacement"});
-    std::vector<double> s_always, s_count, s_opt;
-    std::map<std::string, SimResult> always_results;
-    for (auto &run : runs) {
-        const SimResult always =
-            run.workload->run(parseScheme("always_insert"));
-        const SimResult count = run.workload->run(parseScheme("access_count"));
-        const SimResult opt = run.workload->run(parseScheme("opt"));
-        always_results[run.name] = always;
-        s_always.push_back(speedupOf(run.baseline, always));
-        s_count.push_back(speedupOf(run.baseline, count));
-        s_opt.push_back(speedupOf(run.baseline, opt));
-        fig3a.addRow({run.name,
-                      TablePrinter::fmt(s_always.back(), 4),
-                      TablePrinter::fmt(s_count.back(), 4),
-                      TablePrinter::fmt(s_opt.back(), 4)});
-    }
-    fig3a.addRow({"gmean", TablePrinter::fmt(geomean(s_always), 4),
-                  TablePrinter::fmt(geomean(s_count), 4),
-                  TablePrinter::fmt(geomean(s_opt), 4)});
+    for (std::size_t w = 0; w < m.rows(); ++w)
+        fig3a.addRow({m.name(w), TablePrinter::fmt(m.speedup(w, 1), 4),
+                      TablePrinter::fmt(m.speedup(w, 2), 4),
+                      TablePrinter::fmt(m.speedup(w, 3), 4)});
+    fig3a.addRow({"gmean", TablePrinter::fmt(m.gmeanSpeedup(1), 4),
+                  TablePrinter::fmt(m.gmeanSpeedup(2), 4),
+                  TablePrinter::fmt(m.gmeanSpeedup(3), 4)});
     fig3a.addNote("paper: always-insert 1.0057, access-count 1.0102, "
                   "OPT 1.0398 geomean");
     fig3a.print();
 
     // Fig. 3b: gap buckets recorded by the always-insert run.
-    const SimResult &media = always_results["media_streaming"];
+    std::size_t row = 0;
+    while (row < m.rows() && m.name(row) != "media_streaming")
+        ++row;
+    if (row == m.rows())
+        ACIC_FATAL("Fig. 3b needs the media_streaming workload");
+    const SimResult &media = m.at(row, 1);
     static const char *kGapLabels[] = {
         "-InF..-10000", "-10000..-1000", "-1000..-100", "-100..-10",
         "-10..0",       "0..10",         "10..100",     "100..1000",

@@ -3,13 +3,10 @@
  * Regenerates Fig. 10: speedup of every compared scheme (replacement
  * policies, bypassing policies, victim caches, larger L1i, ACIC, and
  * the OPT oracles) over the LRU + FDP baseline, per datacenter
- * workload with geomean. Runs the whole matrix on the experiment
- * driver: one shared trace + oracle per workload, all (workload,
- * scheme) cells fanned out across hardware threads.
+ * workload with geomean.
  */
 
 #include "bench_util.hh"
-#include "driver/experiment.hh"
 
 using namespace acic;
 using namespace acic::bench;
@@ -17,44 +14,13 @@ using namespace acic::bench;
 int
 main()
 {
-    ExperimentSpec spec;
-    spec.workloads = datacenterEntries();
-    spec.schemes = parseSchemeList(
+    const BenchMatrix m = runMatrix(parseSchemeList(
         "lru,srrip,ship,harmony,ghrp,dsb,obm,vvc,vc3k,acic,"
-        "l1i36k,opt,opt_bypass");
-    spec.instructions = benchTraceLength();
-
-    ExperimentDriver driver(spec);
-    const auto cells = driver.run();
-    const std::size_t n_schemes = spec.schemes.size();
-
-    TablePrinter table(
+        "l1i36k,opt,opt_bypass"));
+    TablePrinter table = matrixTable(
+        m, Metric::Speedup,
         "Fig. 10: speedup over LRU baseline with fetch-directed "
         "prefetching");
-    std::vector<std::string> header{"workload"};
-    // Column 0 (the baseline itself) is the denominator, not a bar.
-    for (std::size_t s = 1; s < n_schemes; ++s)
-        header.push_back(schemeName(spec.schemes[s]));
-    table.setHeader(header);
-
-    std::map<std::string, std::vector<double>> per_scheme;
-    for (std::size_t w = 0; w < spec.workloads.size(); ++w) {
-        const SimResult &baseline = cells[w * n_schemes].result;
-        std::vector<std::string> row{spec.workloads[w].name()};
-        for (std::size_t s = 1; s < n_schemes; ++s) {
-            const SimResult &result = cells[w * n_schemes + s].result;
-            const double speedup = speedupOf(baseline, result);
-            per_scheme[schemeName(spec.schemes[s])].push_back(
-                speedup);
-            row.push_back(TablePrinter::fmt(speedup, 4));
-        }
-        table.addRow(row);
-    }
-    std::vector<std::string> gmean_row{"gmean"};
-    for (std::size_t s = 1; s < n_schemes; ++s)
-        gmean_row.push_back(TablePrinter::fmt(
-            geomean(per_scheme[schemeName(spec.schemes[s])]), 4));
-    table.addRow(gmean_row);
     table.addNote("paper gmeans: GHRP best prior (< ACIC 1.0223); "
                   "VVC slows down; OPT 1.0398; OPT-bypass ~= OPT");
     table.print();

@@ -6,6 +6,8 @@
  * random bypass vs. ACIC).
  */
 
+#include <map>
+
 #include "bench_util.hh"
 
 using namespace acic;
@@ -14,7 +16,8 @@ using namespace acic::bench;
 int
 main()
 {
-    auto runs = buildBaselines(Workloads::datacenter());
+    const BenchMatrix m =
+        runMatrix(parseSchemeList("lru,acic,random_bypass"));
 
     // Fig. 12a: accumulate range-restricted accuracy across runs.
     static const std::uint64_t kRanges[] = {2048, 1024, 512, 256,
@@ -22,29 +25,24 @@ main()
     std::uint64_t all_total = 0, all_correct = 0;
     std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
         by_range;
-    std::vector<double> red_acic, red_random;
 
     TablePrinter fig12b("Fig. 12b: MPKI reduction, random 60% bypass "
                         "vs ACIC (over LRU+FDP)");
     fig12b.setHeader({"workload", "Random bypass", "ACIC"});
 
-    for (auto &run : runs) {
-        const SimResult acic = run.workload->run(parseScheme("acic"));
-        const SimResult random =
-            run.workload->run(parseScheme("random_bypass"));
-        all_total += acic.orgStats.get("acic.decisions");
-        all_correct += acic.orgStats.get("acic.decisions_correct");
+    for (std::size_t w = 0; w < m.rows(); ++w) {
+        const StatSet &acic = m.at(w, 1).orgStats;
+        all_total += acic.get("acic.decisions");
+        all_correct += acic.get("acic.decisions_correct");
         for (const std::uint64_t r : kRanges) {
-            by_range[r].first += acic.orgStats.get(
-                "acic.decisions_r" + std::to_string(r));
-            by_range[r].second += acic.orgStats.get(
-                "acic.correct_r" + std::to_string(r));
+            by_range[r].first +=
+                acic.get("acic.decisions_r" + std::to_string(r));
+            by_range[r].second +=
+                acic.get("acic.correct_r" + std::to_string(r));
         }
-        red_acic.push_back(mpkiReductionOf(run.baseline, acic));
-        red_random.push_back(mpkiReductionOf(run.baseline, random));
-        fig12b.addRow({run.name,
-                       TablePrinter::pct(red_random.back(), 1),
-                       TablePrinter::pct(red_acic.back(), 1)});
+        fig12b.addRow({m.name(w),
+                       TablePrinter::pct(m.mpkiReduction(w, 2), 1),
+                       TablePrinter::pct(m.mpkiReduction(w, 1), 1)});
     }
 
     TablePrinter fig12a("Fig. 12a: avg ACIC bypass accuracy by "
@@ -73,8 +71,8 @@ main()
                    "re-referenced soon");
     fig12a.print();
 
-    fig12b.addRow({"Avg", TablePrinter::pct(mean(red_random), 1),
-                   TablePrinter::pct(mean(red_acic), 1)});
+    fig12b.addRow({"Avg", TablePrinter::pct(m.meanMpkiReduction(2), 1),
+                   TablePrinter::pct(m.meanMpkiReduction(1), 1)});
     fig12b.addNote("paper: random-60% achieves 7.65% reduction, "
                    "42.17% of ACIC's 18.14%");
     fig12b.print();

@@ -13,18 +13,19 @@ using namespace acic::bench;
 int
 main()
 {
-    auto runs = buildBaselines(Workloads::datacenter());
+    // ACIC's own counters only: no baseline column is needed.
+    const BenchMatrix m = runMatrix(parseSchemeList("acic"));
 
     TablePrinter table(
-        "Fig. 13: %% of i-Filter victims inserted into i-cache");
+        "Fig. 13: % of i-Filter victims inserted into i-cache");
     table.setHeader({"workload", "victims", "inserted", "percent"});
-    for (auto &run : runs) {
-        const SimResult r = run.workload->run(parseScheme("acic"));
+    for (std::size_t w = 0; w < m.rows(); ++w) {
+        const StatSet &stats = m.at(w, 0).orgStats;
         const std::uint64_t victims =
-            r.orgStats.get("filtered.filter_victims");
+            stats.get("filtered.filter_victims");
         const std::uint64_t admitted =
-            r.orgStats.get("filtered.victims_admitted");
-        table.addRow({run.name, std::to_string(victims),
+            stats.get("filtered.victims_admitted");
+        table.addRow({m.name(w), std::to_string(victims),
                       std::to_string(admitted),
                       TablePrinter::pct(
                           victims == 0

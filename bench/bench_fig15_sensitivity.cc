@@ -5,15 +5,13 @@
  * i-Filter slots, and CSHR partial-tag width -- around the default
  * Table I configuration.
  *
- * The sweep is declared as registry spec strings and executed on the
- * parallel experiment driver: the same points are reachable from the
- * command line, e.g.
+ * The sweep is declared as registry spec strings, so the same points
+ * are reachable from the command line, e.g.
  *   acic_run sweep --grid 'acic(filter={8,16,32})' \
  *            --workloads all-datacenter
  */
 
 #include "bench_util.hh"
-#include "driver/experiment.hh"
 
 using namespace acic;
 using namespace acic::bench;
@@ -21,51 +19,24 @@ using namespace acic::bench;
 int
 main()
 {
-    // (figure label, registry spec) pairs; "lru" is the denominator.
-    static const std::pair<const char *, const char *> kVariants[] = {
-        {"default", "acic"},
-        {"2k HRT entries", "acic(hrt=2048)"},
-        {"512 HRT entries", "acic(hrt=512)"},
-        {"8-bit history", "acic(history=8)"},
-        {"10-bit history", "acic(history=10)"},
-        {"2-bit counter", "acic(counter=2)"},
-        {"8-bit counter", "acic(counter=8)"},
-        {"8-slot i-Filter", "acic(filter=8)"},
-        {"32-slot i-Filter", "acic(filter=32)"},
-        {"7-bit CSHR tag", "acic(tag=7)"},
-        {"27-bit CSHR tag", "acic(tag=27)"},
-    };
-
-    ExperimentSpec spec;
-    spec.workloads = datacenterEntries();
-    spec.schemes = {parseScheme("lru")};
-    for (const auto &[label, text] : kVariants) {
-        (void)label;
-        spec.schemes.push_back(parseScheme(text));
-    }
-    spec.instructions = benchTraceLength();
-
-    ExperimentDriver driver(spec);
-    const auto cells = driver.run();
-    const std::size_t n_schemes = spec.schemes.size();
-
-    TablePrinter table("Fig. 15: ACIC sensitivity (gmean speedup "
-                       "over LRU+FDP)");
-    table.setHeader({"configuration", "gmean speedup"});
-    for (std::size_t s = 1; s < n_schemes; ++s) {
-        std::vector<double> speedups;
-        for (std::size_t w = 0; w < spec.workloads.size(); ++w) {
-            const SimResult &baseline =
-                cells[w * n_schemes].result;
-            speedups.push_back(
-                speedupOf(baseline, cells[w * n_schemes + s].result));
-        }
-        table.addRow({kVariants[s - 1].first,
-                      TablePrinter::fmt(geomean(speedups), 4)});
-    }
-    table.addNote("paper: larger i-Filter helps most; smaller "
-                  "i-Filter, short PT counters, and 7-bit CSHR tags "
-                  "hurt most; 10-bit history barely helps");
-    table.print();
+    printVariantGmeans(
+        {
+            {"default", "acic"},
+            {"2k HRT entries", "acic(hrt=2048)"},
+            {"512 HRT entries", "acic(hrt=512)"},
+            {"8-bit history", "acic(history=8)"},
+            {"10-bit history", "acic(history=10)"},
+            {"2-bit counter", "acic(counter=2)"},
+            {"8-bit counter", "acic(counter=8)"},
+            {"8-slot i-Filter", "acic(filter=8)"},
+            {"32-slot i-Filter", "acic(filter=32)"},
+            {"7-bit CSHR tag", "acic(tag=7)"},
+            {"27-bit CSHR tag", "acic(tag=27)"},
+        },
+        "Fig. 15: ACIC sensitivity (gmean speedup over LRU+FDP)",
+        "configuration",
+        "paper: larger i-Filter helps most; smaller i-Filter, short "
+        "PT counters, and 7-bit CSHR tags hurt most; 10-bit history "
+        "barely helps");
     return 0;
 }

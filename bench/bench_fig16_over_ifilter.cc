@@ -15,20 +15,15 @@ int
 main()
 {
     // Baseline here is the i-Filter + always-insert organization.
-    auto runs = buildBaselines(Workloads::datacenter(), SimConfig{},
-                               "always_insert");
+    const BenchMatrix m =
+        runMatrix(parseSchemeList("always_insert,acic"));
 
     TablePrinter table("Fig. 16: ACIC speedup over FDP baseline "
                        "with i-Filter (always-insert)");
     table.setHeader({"workload", "speedup"});
-    std::vector<double> speedups;
-    for (auto &run : runs) {
-        const SimResult r = run.workload->run(parseScheme("acic"));
-        speedups.push_back(speedupOf(run.baseline, r));
-        table.addRow({run.name,
-                      TablePrinter::fmt(speedups.back(), 4)});
-    }
-    table.addRow({"gmean", TablePrinter::fmt(geomean(speedups), 4)});
+    for (std::size_t w = 0; w < m.rows(); ++w)
+        table.addRow({m.name(w), TablePrinter::fmt(m.speedup(w, 1), 4)});
+    table.addRow({"gmean", TablePrinter::fmt(m.gmeanSpeedup(1), 4)});
     table.addNote("paper: the bypass policy alone gives 1.0165 "
                   "geomean over the i-Filter-equipped baseline");
     table.print();

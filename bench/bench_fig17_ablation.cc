@@ -5,13 +5,11 @@
  * immediately), i-Filter only (no admission), global-history
  * predictor, and bimodal predictor -- against the full design.
  *
- * Every ablation is a registry spec string run through the parallel
- * experiment driver; the same points are reachable from the command
- * line via `acic_run run --schemes`.
+ * Every ablation is a registry spec string; the same points are
+ * reachable from the command line via `acic_run run --schemes`.
  */
 
 #include "bench_util.hh"
-#include "driver/experiment.hh"
 
 using namespace acic;
 using namespace acic::bench;
@@ -19,45 +17,19 @@ using namespace acic::bench;
 int
 main()
 {
-    // (figure label, registry spec) pairs; "lru" is the denominator.
-    static const std::pair<const char *, const char *> kVariants[] = {
-        {"default ACIC", "acic"},
-        {"no i-Filter", "acic(filter=1)"},
-        {"i-Filter only", "ifilter_only"},
-        {"global-history predictor", "acic_global_history"},
-        {"bimodal predictor", "acic_bimodal"},
-    };
-
-    ExperimentSpec spec;
-    spec.workloads = datacenterEntries();
-    spec.schemes = {parseScheme("lru")};
-    for (const auto &[label, text] : kVariants) {
-        (void)label;
-        spec.schemes.push_back(parseScheme(text));
-    }
-    spec.instructions = benchTraceLength();
-
-    ExperimentDriver driver(spec);
-    const auto cells = driver.run();
-    const std::size_t n_schemes = spec.schemes.size();
-
-    TablePrinter table("Fig. 17: speedup of ACIC with simpler "
-                       "designs over LRU+FDP (gmean)");
-    table.setHeader({"design", "gmean speedup"});
-    for (std::size_t s = 1; s < n_schemes; ++s) {
-        std::vector<double> speedups;
-        for (std::size_t w = 0; w < spec.workloads.size(); ++w) {
-            const SimResult &baseline =
-                cells[w * n_schemes].result;
-            speedups.push_back(
-                speedupOf(baseline, cells[w * n_schemes + s].result));
-        }
-        table.addRow({kVariants[s - 1].first,
-                      TablePrinter::fmt(geomean(speedups), 4)});
-    }
-    table.addNote("paper: turning off the i-Filter or the predictor, "
-                  "or degrading it to global-history/bimodal, all "
-                  "lose performance vs. the full ACIC");
-    table.print();
+    printVariantGmeans(
+        {
+            {"default ACIC", "acic"},
+            {"no i-Filter", "acic(filter=1)"},
+            {"i-Filter only", "ifilter_only"},
+            {"global-history predictor", "acic_global_history"},
+            {"bimodal predictor", "acic_bimodal"},
+        },
+        "Fig. 17: speedup of ACIC with simpler designs over LRU+FDP "
+        "(gmean)",
+        "design",
+        "paper: turning off the i-Filter or the predictor, or "
+        "degrading it to global-history/bimodal, all lose performance "
+        "vs. the full ACIC");
     return 0;
 }

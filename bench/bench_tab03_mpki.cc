@@ -2,12 +2,10 @@
  * @file
  * Prints Table II (simulation parameters) and regenerates Table III:
  * baseline (LRU + fetch-directed prefetching) L1i MPKI of the ten
- * datacenter applications, next to the paper's reported values. The
- * ten baseline runs execute in parallel on the experiment driver.
+ * datacenter applications, next to the paper's reported values.
  */
 
 #include "bench_util.hh"
-#include "driver/experiment.hh"
 
 using namespace acic;
 using namespace acic::bench;
@@ -47,24 +45,16 @@ main()
     tab2.addRow({"Prefetcher", "fetch-directed (FDP)"});
     tab2.print();
 
-    ExperimentSpec spec;
-    spec.workloads = datacenterEntries();
-    spec.schemes = {parseScheme("lru")};
-    spec.config = config;
-    spec.instructions = benchTraceLength();
-
-    ExperimentDriver driver(spec);
-    const auto cells = driver.run();
+    const BenchMatrix m = runMatrix(parseSchemeList("lru"), config);
 
     TablePrinter tab3("Table III: baseline L1i MPKI (LRU + FDP)");
     tab3.setHeader({"workload", "measured MPKI", "paper MPKI", "IPC",
                     "br-misp/ki"});
-    for (std::size_t w = 0; w < spec.workloads.size(); ++w) {
-        const SimResult &baseline = cells[w].result;
-        const double paper_mpki =
-            spec.workloads[w].params.paperMpki;
+    for (std::size_t w = 0; w < m.rows(); ++w) {
+        const SimResult &baseline = m.baseline(w);
+        const double paper_mpki = m.spec.workloads[w].params.paperMpki;
         tab3.addRow(
-            {spec.workloads[w].name(),
+            {m.name(w),
              TablePrinter::fmt(baseline.mpki(), 1),
              paper_mpki > 0.0 ? TablePrinter::fmt(paper_mpki, 1)
                               : "-",

@@ -1,40 +1,45 @@
 /**
  * @file
- * Shared plumbing for the figure/table regeneration binaries: run a
- * scheme sweep over the datacenter workloads, compute speedups against
- * the LRU+FDP baseline, and print paper-shaped tables.
+ * Shared plumbing for the figure/table regeneration binaries. Every
+ * matrix bench names its schemes (column 0 is the baseline every
+ * speedup and MPKI reduction divides by) and runs them over catalog
+ * rows on the parallel experiment driver through runMatrix(): each
+ * workload's trace and Belady oracle are built once, the cells fan
+ * out across hardware threads, and a workload's image is released
+ * after its row's last cell. A cell is bit-identical to a serial
+ * SharedWorkload::run of the same (workload, scheme), so the tables
+ * do not depend on the thread count. The table helpers at the end
+ * print the shapes several figures share.
  */
 
 #ifndef ACIC_BENCH_BENCH_UTIL_HH
 #define ACIC_BENCH_BENCH_UTIL_HH
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/table.hh"
-#include "sim/runner.hh"
+#include "driver/experiment.hh"
 #include "trace/catalog.hh"
 
 namespace acic::bench {
 
 /**
- * Catalog entries for the datacenter suite — the default rows of the
- * figure/table benches. Set ACIC_BENCH_TRACE_DIR to overlay a
- * directory of recorded or imported `.acictrace` files onto the
- * presets, so every bench can rerun against real traces unchanged.
+ * Catalog rows of @p group ("all-datacenter" or "all-spec"). Set
+ * ACIC_BENCH_TRACE_DIR to overlay a directory of recorded or
+ * imported `.acictrace` files onto the presets, so every bench can
+ * rerun against real traces unchanged.
  */
 inline std::vector<WorkloadEntry>
-datacenterEntries()
+catalogEntries(const std::string &group)
 {
     WorkloadCatalog catalog = WorkloadCatalog::builtin();
     if (const char *dir = std::getenv("ACIC_BENCH_TRACE_DIR"))
         catalog.addTraceDir(dir);
-    return catalog.resolve("all-datacenter");
+    return catalog.resolve(group);
 }
 
 /** Default per-workload trace length for bench sweeps. */
@@ -45,49 +50,6 @@ benchTraceLength()
     WorkloadParams params;
     params.instructions = 2'000'000;
     return withEnvOverrides(params).instructions;
-}
-
-/** One workload's materialized trace plus its baseline run. */
-struct WorkloadRun
-{
-    std::string name;
-    std::unique_ptr<SharedWorkload> workload;
-    SimResult baseline;
-};
-
-/** Build workloads and LRU+FDP baselines for a preset collection. */
-inline std::vector<WorkloadRun>
-buildBaselines(std::vector<WorkloadParams> presets,
-               const SimConfig &config = {},
-               const std::string &baseline = "lru")
-{
-    const SchemeSpec baseline_spec = parseScheme(baseline);
-    std::vector<WorkloadRun> runs;
-    for (auto &params : presets) {
-        params.instructions = benchTraceLength();
-        WorkloadRun run;
-        run.name = params.name;
-        run.workload =
-            std::make_unique<SharedWorkload>(params, config);
-        run.baseline = run.workload->run(baseline_spec);
-        runs.push_back(std::move(run));
-    }
-    return runs;
-}
-
-inline double
-speedupOf(const SimResult &baseline, const SimResult &result)
-{
-    return static_cast<double>(baseline.cycles) /
-           static_cast<double>(result.cycles);
-}
-
-inline double
-mpkiReductionOf(const SimResult &baseline, const SimResult &result)
-{
-    if (baseline.mpki() == 0.0)
-        return 0.0;
-    return (baseline.mpki() - result.mpki()) / baseline.mpki();
 }
 
 inline double
@@ -112,17 +74,147 @@ mean(const std::vector<double> &values)
     return sum / static_cast<double>(values.size());
 }
 
-/**
- * Run a scheme across all workloads and return per-workload results
- * keyed by workload name.
- */
-inline std::map<std::string, SimResult>
-runScheme(std::vector<WorkloadRun> &runs, const SchemeSpec &scheme)
+/** The finished cells of one bench matrix, rows x scheme columns. */
+struct BenchMatrix
 {
-    std::map<std::string, SimResult> out;
-    for (auto &run : runs)
-        out[run.name] = run.workload->run(scheme);
-    return out;
+    ExperimentSpec spec;
+    std::vector<CellResult> cells; ///< workload-major
+
+    std::size_t rows() const { return spec.workloads.size(); }
+    std::size_t columns() const { return spec.schemes.size(); }
+
+    const std::string &name(std::size_t w) const
+    {
+        return spec.workloads[w].name();
+    }
+
+    const SimResult &at(std::size_t w, std::size_t s) const
+    {
+        return cells[w * columns() + s].result;
+    }
+
+    const SimResult &baseline(std::size_t w) const { return at(w, 0); }
+
+    double speedup(std::size_t w, std::size_t s) const
+    {
+        return static_cast<double>(baseline(w).cycles) /
+               static_cast<double>(at(w, s).cycles);
+    }
+
+    double mpkiReduction(std::size_t w, std::size_t s) const
+    {
+        const double base = baseline(w).mpki();
+        return base == 0.0 ? 0.0 : (base - at(w, s).mpki()) / base;
+    }
+
+    /** Geomean over the rows of column @p s's speedup. */
+    double gmeanSpeedup(std::size_t s) const
+    {
+        std::vector<double> values;
+        for (std::size_t w = 0; w < rows(); ++w)
+            values.push_back(speedup(w, s));
+        return geomean(values);
+    }
+
+    /** Mean over the rows of column @p s's MPKI reduction. */
+    double meanMpkiReduction(std::size_t s) const
+    {
+        std::vector<double> values;
+        for (std::size_t w = 0; w < rows(); ++w)
+            values.push_back(mpkiReduction(w, s));
+        return mean(values);
+    }
+};
+
+/**
+ * Run @p schemes over @p rows at benchTraceLength() instructions on
+ * the experiment driver.
+ */
+inline BenchMatrix
+runMatrix(std::vector<SchemeSpec> schemes, const SimConfig &config = {},
+          std::vector<WorkloadEntry> rows =
+              catalogEntries("all-datacenter"))
+{
+    BenchMatrix matrix;
+    matrix.spec.workloads = std::move(rows);
+    matrix.spec.schemes = std::move(schemes);
+    matrix.spec.config = config;
+    matrix.spec.instructions = benchTraceLength();
+    matrix.cells = ExperimentDriver(matrix.spec).run();
+    return matrix;
+}
+
+/** What a matrixTable() cell reports against column 0. */
+enum class Metric
+{
+    Speedup,       ///< 4 decimals, closed by a "gmean" row
+    MpkiReduction, ///< percent, closed by an "Avg" row
+};
+
+/**
+ * Workload x scheme table of @p metric for every column but the
+ * baseline. @p baseline_mpki appends the baseline's MPKI as a last
+ * column (Figs. 18/19, where it explains the little headroom).
+ */
+inline TablePrinter
+matrixTable(const BenchMatrix &m, Metric metric, std::string title,
+            bool baseline_mpki = false)
+{
+    const bool speedup = metric == Metric::Speedup;
+    const auto cell = [&](double value) {
+        return speedup ? TablePrinter::fmt(value, 4)
+                       : TablePrinter::pct(value, 1);
+    };
+    TablePrinter table(std::move(title));
+    std::vector<std::string> header{"workload"};
+    for (std::size_t s = 1; s < m.columns(); ++s)
+        header.push_back(schemeName(m.spec.schemes[s]));
+    if (baseline_mpki)
+        header.push_back("baseline MPKI");
+    table.setHeader(header);
+    for (std::size_t w = 0; w < m.rows(); ++w) {
+        std::vector<std::string> row{m.name(w)};
+        for (std::size_t s = 1; s < m.columns(); ++s)
+            row.push_back(cell(speedup ? m.speedup(w, s)
+                                       : m.mpkiReduction(w, s)));
+        if (baseline_mpki)
+            row.push_back(TablePrinter::fmt(m.baseline(w).mpki(), 2));
+        table.addRow(row);
+    }
+    std::vector<std::string> summary{speedup ? "gmean" : "Avg"};
+    for (std::size_t s = 1; s < m.columns(); ++s)
+        summary.push_back(cell(speedup ? m.gmeanSpeedup(s)
+                                       : m.meanMpkiReduction(s)));
+    if (baseline_mpki)
+        summary.push_back("");
+    table.addRow(summary);
+    return table;
+}
+
+/** A labelled ACIC variant: (figure label, registry spec). */
+using Variant = std::pair<const char *, const char *>;
+
+/**
+ * Print one "label -> gmean speedup over LRU+FDP" row per variant
+ * (Figs. 15 and 17).
+ */
+inline void
+printVariantGmeans(const std::vector<Variant> &variants,
+                   std::string title, const std::string &label_header,
+                   std::string note)
+{
+    std::vector<SchemeSpec> schemes{parseScheme("lru")};
+    for (const Variant &variant : variants)
+        schemes.push_back(parseScheme(variant.second));
+    const BenchMatrix m = runMatrix(std::move(schemes));
+
+    TablePrinter table(std::move(title));
+    table.setHeader({label_header, "gmean speedup"});
+    for (std::size_t s = 1; s < m.columns(); ++s)
+        table.addRow({variants[s - 1].first,
+                      TablePrinter::fmt(m.gmeanSpeedup(s), 4)});
+    table.addNote(std::move(note));
+    table.print();
 }
 
 } // namespace acic::bench
