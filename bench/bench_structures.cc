@@ -5,11 +5,12 @@
  * CSHR search, two-level predictor, and the synthetic trace
  * generator — plus the two kernels under the throughput tentpole,
  * each implementation individually selectable: the tag-probe scan
- * (portable / SSE2 / dispatched wide path, hit and miss, 2/4/8
- * ways) and the trace decoder (scalar next() vs 64-record
- * decodeBatch() vs zero-copy acquireRun()). These guard the
- * simulator's own performance (host-side), not the simulated
- * machine.
+ * (portable / SSE2 / dispatched wide path, hit and miss, 2 to 64
+ * lanes; the wide path only dispatches from kWideLaneThreshold = 32
+ * lanes up) and the trace decoder (scalar next() vs the block
+ * acquireRun() the simulator pulls through, over a loaded file and
+ * over an image encoded in memory). These guard the simulator's own
+ * performance (host-side), not the simulated machine.
  */
 
 #include <benchmark/benchmark.h>
@@ -105,7 +106,7 @@ BENCHMARK(BM_PredictorTrain);
 
 /**
  * Tag-probe kernel cost per scan, one implementation per capture.
- * Arg 0: ways (2/4/8, padded to the lane stride like SetAssocCache
+ * Arg 0: ways (2 to 64, padded to the lane stride like SetAssocCache
  * rows are). Arg 1: 1 = every probe hits, 0 = every probe misses.
  * 1024 sets probed round-robin so the targets are not
  * branch-predictable.
@@ -138,13 +139,22 @@ BM_TagProbe(benchmark::State &state,
 }
 BENCHMARK_CAPTURE(BM_TagProbe, portable,
                   &tagscan::matchMask64Portable)
-    ->ArgsProduct({{2, 4, 8}, {0, 1}});
+    ->ArgsProduct({{2, 4, 8, 16, 32, 64}, {0, 1}});
 #ifdef ACIC_TAGSCAN_SIMD
 BENCHMARK_CAPTURE(BM_TagProbe, sse2, &tagscan::matchMask64Sse2)
-    ->ArgsProduct({{2, 4, 8}, {0, 1}});
+    ->ArgsProduct({{2, 4, 8, 16, 32, 64}, {0, 1}});
 BENCHMARK_CAPTURE(BM_TagProbe, wide, tagscan::matchMask64Wide)
-    ->ArgsProduct({{2, 4, 8}, {0, 1}});
+    ->ArgsProduct({{2, 4, 8, 16, 32, 64}, {0, 1}});
 #endif
+
+/** The workload the decoder benches read. */
+WorkloadParams
+decoderBenchParams()
+{
+    auto params = Workloads::byName("media_streaming");
+    params.instructions = 1u << 20;
+    return params;
+}
 
 /** The recorded trace the decoder benches read (built once). */
 const std::string &
@@ -154,9 +164,7 @@ decoderBenchTrace()
         const std::string p =
             "bench_structures_decode" + std::string(
                 TraceFormat::suffix());
-        auto params = Workloads::byName("media_streaming");
-        params.instructions = 1u << 20;
-        SyntheticWorkload synth(params);
+        SyntheticWorkload synth(decoderBenchParams());
         recordTrace(synth, p);
         return p;
     }();
@@ -178,68 +186,20 @@ BM_DecodeScalarFile(benchmark::State &state)
 }
 BENCHMARK(BM_DecodeScalarFile);
 
-/** Per-instruction cost through the 64-record batch decoder. */
+/** Per-instruction cost of the block acquireRun() pull (what the
+ *  BundleWalker rides in steady state) over @p src. */
 void
-BM_DecodeBatchFile(benchmark::State &state)
+benchRuns(benchmark::State &state, TraceSource &src)
 {
-    FileTraceSource file(decoderBenchTrace());
-    InstBatch batch;
-    unsigned pos = 0;
-    for (auto _ : state) {
-        if (pos >= batch.count) {
-            if (file.decodeBatch(batch) == 0) {
-                file.reset();
-                file.decodeBatch(batch);
-            }
-            pos = 0;
-        }
-        benchmark::DoNotOptimize(batch.pc[pos]);
-        ++pos;
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DecodeBatchFile);
-
-/** Per-instruction cost of the batched copy out of a materialized
- *  image (the driver's steady-state source). */
-void
-BM_DecodeBatchMemory(benchmark::State &state)
-{
-    FileTraceSource file(decoderBenchTrace());
-    MemoryTraceSource mem = MemoryTraceSource::capture(file);
-    InstBatch batch;
-    unsigned pos = 0;
-    for (auto _ : state) {
-        if (pos >= batch.count) {
-            if (mem.decodeBatch(batch) == 0) {
-                mem.reset();
-                mem.decodeBatch(batch);
-            }
-            pos = 0;
-        }
-        benchmark::DoNotOptimize(batch.pc[pos]);
-        ++pos;
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DecodeBatchMemory);
-
-/** Per-instruction cost of the zero-copy run path (what the
- *  BundleWalker rides in steady state). */
-void
-BM_DecodeRunMemory(benchmark::State &state)
-{
-    FileTraceSource file(decoderBenchTrace());
-    MemoryTraceSource mem = MemoryTraceSource::capture(file);
     const TraceInst *run = nullptr;
     std::uint64_t len = 0;
     std::uint64_t pos = 0;
     for (auto _ : state) {
         if (pos >= len) {
-            run = mem.acquireRun(~std::uint64_t{0}, len);
+            run = src.acquireRun(~std::uint64_t{0}, len);
             if (run == nullptr) {
-                mem.reset();
-                run = mem.acquireRun(~std::uint64_t{0}, len);
+                src.reset();
+                run = src.acquireRun(~std::uint64_t{0}, len);
             }
             pos = 0;
         }
@@ -248,14 +208,30 @@ BM_DecodeRunMemory(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
+
+void
+BM_DecodeRunFile(benchmark::State &state)
+{
+    FileTraceSource file(decoderBenchTrace());
+    benchRuns(state, file);
+}
+BENCHMARK(BM_DecodeRunFile);
+
+/** The same pull over an image encoded in memory (the driver's
+ *  SharedWorkload image of a synthetic workload). */
+void
+BM_DecodeRunMemory(benchmark::State &state)
+{
+    SyntheticWorkload synth(decoderBenchParams());
+    MemoryTraceSource mem(encodeTrace(synth));
+    benchRuns(state, mem);
+}
 BENCHMARK(BM_DecodeRunMemory);
 
 void
 BM_TraceGeneration(benchmark::State &state)
 {
-    auto params = Workloads::byName("media_streaming");
-    params.instructions = 1u << 20;
-    SyntheticWorkload trace(params);
+    SyntheticWorkload trace(decoderBenchParams());
     TraceInst inst;
     for (auto _ : state) {
         if (!trace.next(inst))

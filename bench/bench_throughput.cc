@@ -117,8 +117,8 @@ main(int argc, char **argv)
         std::printf("telemetry enabled -> %s\n", tel);
     }
 
-    // One representative datacenter workload, materialized the way
-    // the experiment driver replays it: the trace image and oracle
+    // One representative datacenter workload, encoded the way the
+    // experiment driver replays it: the trace image and oracle
     // are built once, outside the timed region, so the measurement
     // isolates the simulation loop itself (not synthetic generation).
     WorkloadParams params = Workloads::datacenter().front();
@@ -355,7 +355,7 @@ main(int argc, char **argv)
                        std::to_string(kDefaultIntervalWarmup) +
                        "-instruction timed warmup per shard; the "
                        "time includes the driver's trace "
-                       "materialization");
+                       "encoding");
         itable.print();
     }
 

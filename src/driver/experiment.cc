@@ -481,13 +481,13 @@ ExperimentDriver::run(const Observer &observer)
     // Prepares are released in a sliding window of ~thread-count
     // workloads — the last cell of a finished workload submits the
     // next prepare — so preparation overlaps simulation while the
-    // number of live (materialized) trace images stays bounded by
+    // number of live trace images (and oracles) stays bounded by
     // the thread count, not the workload count.
     std::function<void()> submitNextPrepare =
         [&]() {
             // Skip workloads whose owned cells all preloaded (or
             // that this shard owns no cell of): their traces need
-            // not materialize at all.
+            // not be prepared at all.
             std::size_t w;
             do {
                 w = state.nextWorkload.fetch_add(1);

@@ -3,8 +3,8 @@
  * Parallel experiment driver: a declarative ExperimentSpec names a
  * workloads x schemes matrix (the shape of the paper's Table IV and
  * Figs. 10-17) and the driver executes every cell on a thread pool.
- * Each workload's trace is materialized and its Belady oracle built
- * exactly once, shared read-only by all workers; per-cell state (the
+ * Each workload's trace is encoded into one image and its Belady
+ * oracle built exactly once, shared read-only by all workers; per-cell state (the
  * cache organization and engine) is private to the worker, and every
  * task is one SharedWorkload::run over one region of a cell, so
  * results are bit-identical to a serial SharedWorkload::run at any

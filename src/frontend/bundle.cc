@@ -72,40 +72,22 @@ BundleWalker::reset()
     run_ = nullptr;
     runLen_ = 0;
     runPos_ = 0;
-    batch_.count = 0;
-    batchPos_ = 0;
 }
 
 bool
 BundleWalker::pullInst(TraceInst &out)
 {
-    if (runPos_ < runLen_) {
-        out = run_[runPos_++];
-        return true;
-    }
-    return pullInstSlow(out);
-}
-
-bool
-BundleWalker::pullInstSlow(TraceInst &out)
-{
-    // Prefer one zero-copy run over the source's whole remainder;
-    // sources without contiguous storage return nullptr and we read
-    // through the 64-record decode batch instead.
-    runPos_ = 0;
-    run_ = source_.acquireRun(~std::uint64_t{0}, runLen_);
-    if (run_ != nullptr && runLen_ != 0) {
-        runPos_ = 1;
-        out = run_[0];
-        return true;
-    }
-    runLen_ = 0;
-    if (batchPos_ >= batch_.count) {
-        if (source_.decodeBatch(batch_) == 0)
+    if (runPos_ == runLen_) {
+        // One run over as much of the source's remainder as it
+        // hands out; none means the trace is exhausted.
+        runPos_ = 0;
+        run_ = source_.acquireRun(~std::uint64_t{0}, runLen_);
+        if (run_ == nullptr || runLen_ == 0) {
+            runLen_ = 0;
             return false;
-        batchPos_ = 0;
+        }
     }
-    out = batch_.get(batchPos_++);
+    out = run_[runPos_++];
     return true;
 }
 
@@ -134,14 +116,11 @@ BundleWalker::load(Deserializer &d)
     havePending_ = d.b();
     exhausted_ = d.b();
     emitted_ = d.u64();
-    // Read-ahead (run + batch) is walker-internal and not
-    // checkpointed; the freshly sought source refills it on the
-    // next pull.
+    // The read-ahead run is walker-internal and not checkpointed;
+    // the freshly sought source refills it on the next pull.
     run_ = nullptr;
     runLen_ = 0;
     runPos_ = 0;
-    batch_.count = 0;
-    batchPos_ = 0;
 }
 
 bool

@@ -72,16 +72,12 @@ class BundleWalker
     void load(Deserializer &d);
 
   private:
-    /** Hand out the next instruction: from the zero-copy run when
-     *  the source exposes one (TraceSource::acquireRun), else from
-     *  the internal batch refilled via source_.decodeBatch(). Both
-     *  are pure read-ahead: consumed_ counts only what the walker
+    /** Hand out the next instruction from the current run, pulling
+     *  a new one (TraceSource::acquireRun) when it is drained. The
+     *  run is pure read-ahead: consumed_ counts only what the walker
      *  has handed out, so the checkpoint format (and load()'s
-     *  seekTo) are untouched — reset()/load() simply drop them. */
+     *  seekTo) are untouched — reset()/load() simply drop it. */
     bool pullInst(TraceInst &out);
-    /** Slow half of pullInst (run drained): acquire a new run or
-     *  fall back to the decode batch. */
-    bool pullInstSlow(TraceInst &out);
 
     TraceSource &source_;
     unsigned width_;
@@ -91,13 +87,10 @@ class BundleWalker
     std::uint64_t emitted_ = 0;
     /** Instructions handed out (read-ahead not included). */
     std::uint64_t consumed_ = 0;
-    /** Zero-copy instruction run (memory-backed sources). */
+    /** Read-ahead run out of source_ (not checkpointed). */
     const TraceInst *run_ = nullptr;
     std::uint64_t runLen_ = 0;
     std::uint64_t runPos_ = 0;
-    /** Batched read-ahead over source_ (not checkpointed). */
-    InstBatch batch_{};
-    unsigned batchPos_ = 0;
 };
 
 } // namespace acic

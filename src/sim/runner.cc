@@ -42,45 +42,33 @@ planIntervals(std::uint64_t measureBegin, std::uint64_t measureEnd,
 
 namespace {
 
-/** Materialize a freshly generated synthetic trace. */
-TraceImage
-generateImage(const WorkloadParams &params)
+/** Encode the shared image of @p source. */
+std::shared_ptr<const TraceImage>
+encodeWorkload(TraceSource &source)
 {
-    SyntheticWorkload trace(params);
-    return materializeTrace(trace);
-}
-
-/** Build the shared oracle from an image (one pass, then immutable). */
-DemandOracle
-buildOracle(const TraceImage &image, const std::string &name,
-            unsigned fetch_width)
-{
-    MemoryTraceSource cursor(image, name);
-    return DemandOracle::build(cursor, fetch_width);
+    TelemetryScope span("runner.encode");
+    span.attr("workload", source.name());
+    auto image = encodeTrace(source);
+    if (span.live())
+        span.attr("instructions", image->instructions);
+    return image;
 }
 
 } // namespace
 
 SharedWorkload::SharedWorkload(WorkloadParams params, SimConfig config,
                                bool useOracle)
-    : config_(config), name_(params.name), useOracle_(useOracle)
+    : config_(config), useOracle_(useOracle)
 {
-    TelemetryScope span("runner.materialize");
-    span.attr("workload", name_);
-    image_ = generateImage(params);
-    if (span.live())
-        span.attr("instructions", image_->size());
+    SyntheticWorkload trace(params);
+    image_ = encodeWorkload(trace);
 }
 
 SharedWorkload::SharedWorkload(TraceSource &source, SimConfig config,
                                bool useOracle)
-    : config_(config), name_(source.name()), useOracle_(useOracle)
+    : config_(config), image_(encodeWorkload(source)),
+      useOracle_(useOracle)
 {
-    TelemetryScope span("runner.materialize");
-    span.attr("workload", name_);
-    image_ = materializeTrace(source);
-    if (span.live())
-        span.attr("instructions", image_->size());
 }
 
 const DemandOracle &
@@ -88,8 +76,9 @@ SharedWorkload::oracle() const
 {
     std::call_once(oracleOnce_, [this] {
         TelemetryScope span("runner.oracle");
-        span.attr("workload", name_);
-        oracle_ = buildOracle(image_, name_, config_.fetchWidth);
+        span.attr("workload", name());
+        MemoryTraceSource cursor(image_);
+        oracle_ = DemandOracle::build(cursor, config_.fetchWidth);
     });
     return oracle_;
 }
@@ -117,7 +106,7 @@ SharedWorkload::buildIntervalOracle(const SimInterval &region) const
 {
     TelemetryScope span("runner.oracle");
     if (span.live()) {
-        span.attr("workload", name_);
+        span.attr("workload", name());
         span.attr("region_begin", region.warmStart);
         span.attr("region_end", region.end);
     }
@@ -125,8 +114,7 @@ SharedWorkload::buildIntervalOracle(const SimInterval &region) const
     // demand sequence the engine walks, which starts at warmStart.
     // OPT-style schemes therefore see Belady decisions local to the
     // interval — the standard sampled-simulation approximation.
-    MemoryTraceSource cursor(image_, name_, region.warmStart,
-                             region.end);
+    MemoryTraceSource cursor(image_, region.warmStart, region.end);
     return DemandOracle::build(cursor, config_.fetchWidth);
 }
 
@@ -149,14 +137,13 @@ SharedWorkload::run(IcacheOrg &org, const SimInterval &region,
             oracle = &local;
         }
     }
-    MemoryTraceSource cursor(image_, name_, region.warmStart,
-                             region.end);
+    MemoryTraceSource cursor(image_, region.warmStart, region.end);
     SimEngine engine(config_, cursor, org, oracle);
     // Functionally replay the prefix (bounded by the planning
     // horizon) to warm predictors, organization metadata, and the
     // L2/L3 before the timed warmup region.
     if (region.warmStart > region.funcStart) {
-        MemoryTraceSource prefix(image_, name_, region.funcStart,
+        MemoryTraceSource prefix(image_, region.funcStart,
                                  region.warmStart);
         engine.functionalWarm(prefix);
     }

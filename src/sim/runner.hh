@@ -1,9 +1,10 @@
 /**
  * @file
  * The one batch run path. A SharedWorkload owns one workload's trace,
- * materialized into immutable shared storage, and its lazily built
- * Belady oracle; any number of worker threads can then run schemes
- * against it concurrently. Every batch simulation (benches, examples,
+ * encoded into an immutable shared TraceImage (trace/memory.hh), and
+ * its lazily built Belady oracle; any number of worker threads can
+ * then run schemes against it concurrently, each through a private
+ * cursor. Every batch simulation (benches, examples,
  * the experiment driver's cells and interval shards, checkpointed
  * cells) is one call of SharedWorkload::run over a SimInterval region
  * of the image: a monolithic run is the region wholeRun(), an
@@ -105,8 +106,8 @@ class SharedWorkload
 {
   public:
     /**
-     * Generate @p params synthetically as given, materialize, and
-     * (lazily) build the oracle. ACIC_TRACE_LEN is NOT applied here;
+     * Generate @p params synthetically as given, encode the image,
+     * and (lazily) build the oracle. ACIC_TRACE_LEN is NOT applied here;
      * callers wanting it apply withEnvOverrides() themselves.
      *
      * @param useOracle hand runs the Belady oracle (the default).
@@ -121,8 +122,9 @@ class SharedWorkload
                    bool useOracle = true);
 
     /**
-     * Adopt an existing source (e.g. a FileTraceSource): materialize
-     * it. @p source is reset around the capture and not retained.
+     * Adopt an existing source (e.g. a FileTraceSource): encode it
+     * into the image, decoding every record, so a corrupt one fails
+     * here. @p source is reset around the encode and not retained.
      */
     SharedWorkload(TraceSource &source, SimConfig config = {},
                    bool useOracle = true);
@@ -175,10 +177,7 @@ class SharedWorkload
     DemandOracle buildIntervalOracle(const SimInterval &region) const;
 
     /** A fresh private cursor over the shared trace image. */
-    MemoryTraceSource source() const
-    {
-        return MemoryTraceSource(image_, name_);
-    }
+    MemoryTraceSource source() const { return MemoryTraceSource(image_); }
 
     /**
      * The whole-trace oracle, built on first use (thread-safe).
@@ -189,13 +188,12 @@ class SharedWorkload
     const DemandOracle &oracle() const;
 
     const SimConfig &config() const { return config_; }
-    const std::string &name() const { return name_; }
-    std::uint64_t instructions() const { return image_->size(); }
+    const std::string &name() const { return image_->name; }
+    std::uint64_t instructions() const { return image_->instructions; }
 
   private:
     SimConfig config_;
-    std::string name_;
-    TraceImage image_;
+    std::shared_ptr<const TraceImage> image_;
     bool useOracle_;
     mutable std::once_flag oracleOnce_;
     mutable DemandOracle oracle_;

@@ -1,28 +1,21 @@
 #include "trace/codec.hh"
 
-#include <cstring>
-
 #include "trace/errors.hh"
 
 namespace acic {
 
 namespace {
 
-/** Read-buffer size of RecordReader (1 MiB). */
-constexpr std::size_t kBufBytes = 1u << 20;
-
-/** Records RecordReader decodes per block (a multiple of
- *  InstBatch::kCapacity). */
-constexpr std::size_t kBlockRecords = 4096;
-
-void
-putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
+/** Write @p v as a varint at @p p; returns the byte after it. */
+inline std::uint8_t *
+putVarint(std::uint8_t *p, std::uint64_t v)
 {
     while (v >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+        *p++ = static_cast<std::uint8_t>(v) | 0x80;
         v >>= 7;
     }
-    out.push_back(static_cast<std::uint8_t>(v));
+    *p++ = static_cast<std::uint8_t>(v);
+    return p;
 }
 
 std::string
@@ -169,30 +162,47 @@ decodeTraceHeader(const ByteRead &read, const std::string &label)
 // -------------------------------------------------------- RecordCodec
 
 void
-RecordCodec::encode(const TraceInst &inst,
+RecordCodec::encode(const TraceInst *insts, std::size_t n,
                     std::vector<std::uint8_t> &out)
 {
-    const bool linked = inst.pc == prevNext_;
-    const Addr seq_next = inst.pc + TraceInst::kInstBytes;
-    const bool sequential = inst.nextPc == seq_next;
+    // Records go through a raw pointer into a stack buffer (byte
+    // stores through the vector would alias every field and reload
+    // them per byte) and are appended a buffer at a time.
+    constexpr std::size_t kChunk = 128;
+    std::uint8_t buf[kChunk * TraceFormat::kMaxRecordBytes];
+    Addr prev = prevNext_;
+    while (n > 0) {
+        const std::size_t take = n < kChunk ? n : kChunk;
+        std::uint8_t *p = buf;
+        for (std::size_t i = 0; i < take; ++i) {
+            const TraceInst &inst = insts[i];
+            const bool linked = inst.pc == prev;
+            const Addr seq_next = inst.pc + TraceInst::kInstBytes;
+            const bool sequential = inst.nextPc == seq_next;
 
-    std::uint8_t tag = static_cast<std::uint8_t>(inst.kind) &
-                       TraceFormat::kKindMask;
-    if (inst.taken)
-        tag |= TraceFormat::kTakenBit;
-    if (linked)
-        tag |= TraceFormat::kLinkedBit;
-    if (sequential)
-        tag |= TraceFormat::kSequentialBit;
-    out.push_back(tag);
+            std::uint8_t tag = static_cast<std::uint8_t>(inst.kind) &
+                               TraceFormat::kKindMask;
+            if (inst.taken)
+                tag |= TraceFormat::kTakenBit;
+            if (linked)
+                tag |= TraceFormat::kLinkedBit;
+            if (sequential)
+                tag |= TraceFormat::kSequentialBit;
+            *p++ = tag;
 
-    if (!linked)
-        putVarint(out, zigzagEncode(
-                           static_cast<std::int64_t>(inst.pc - prevNext_)));
-    if (!sequential)
-        putVarint(out, zigzagEncode(static_cast<std::int64_t>(
-                           inst.nextPc - seq_next)));
-    prevNext_ = inst.nextPc;
+            if (!linked)
+                p = putVarint(p, zigzagEncode(static_cast<std::int64_t>(
+                                     inst.pc - prev)));
+            if (!sequential)
+                p = putVarint(p, zigzagEncode(static_cast<std::int64_t>(
+                                     inst.nextPc - seq_next)));
+            prev = inst.nextPc;
+        }
+        out.insert(out.end(), buf, p);
+        insts += take;
+        n -= take;
+    }
+    prevNext_ = prev;
 }
 
 std::size_t
@@ -221,86 +231,6 @@ RecordCodec::decode(const std::uint8_t *&pos, const std::uint8_t *end,
     pos = p;
     prevNext_ = prev;
     return i;
-}
-
-// ------------------------------------------------------- RecordReader
-
-RecordReader::RecordReader(ByteRead read, std::string label,
-                           std::uint64_t offset, std::uint64_t count)
-    : read_(std::move(read)), label_(std::move(label)),
-      codec_(0, label_), buf_(kBufBytes), base_(offset), count_(count),
-      block_(kBlockRecords)
-{
-}
-
-void
-RecordReader::restart(std::uint64_t offset, Addr prev_next,
-                      std::uint64_t index)
-{
-    codec_ = RecordCodec(prev_next, label_);
-    pos_ = end_ = 0;
-    base_ = offset;
-    decoded_ = index;
-    blockPos_ = blockEnd_ = 0;
-}
-
-bool
-RecordReader::refill()
-{
-    const std::size_t leftover = end_ - pos_;
-    if (leftover > 0 && pos_ > 0)
-        std::memmove(buf_.data(), buf_.data() + pos_, leftover);
-    base_ += pos_;
-    pos_ = 0;
-    end_ = leftover;
-    const std::size_t got =
-        read_(buf_.data() + end_, buf_.size() - end_);
-    end_ += got;
-    return got > 0;
-}
-
-bool
-RecordReader::decodeBlock()
-{
-    blockPos_ = blockEnd_ = 0;
-    const std::uint64_t left = count_ - decoded_;
-    if (left == 0)
-        return false;
-    const std::size_t want =
-        left < block_.size() ? static_cast<std::size_t>(left)
-                             : block_.size();
-    for (;;) {
-        const std::uint8_t *p = buf_.data() + pos_;
-        blockEnd_ += codec_.decode(p, buf_.data() + end_, base_ + pos_,
-                                   block_.data() + blockEnd_,
-                                   want - blockEnd_);
-        pos_ = static_cast<std::size_t>(p - buf_.data());
-        if (blockEnd_ == want || !refill())
-            break;
-    }
-    // A short block is served first; the call after it, which can
-    // decode nothing, reports the truncation.
-    if (blockEnd_ == 0)
-        throw TraceTruncatedError(
-            labeled(label_, "trace ends inside or before record " +
-                                std::to_string(decoded_) + " of " +
-                                std::to_string(count_)),
-            base_ + end_, 1, 0);
-    decoded_ += blockEnd_;
-    return true;
-}
-
-const TraceInst *
-RecordReader::acquire(std::uint64_t max, std::uint64_t &n)
-{
-    n = 0;
-    if (max == 0 || (blockPos_ == blockEnd_ && !decodeBlock()))
-        return nullptr;
-    const std::size_t avail = blockEnd_ - blockPos_;
-    n = max < avail ? max : avail;
-    const TraceInst *run = block_.data() + blockPos_;
-    blockPos_ += static_cast<std::size_t>(n);
-    return run;
 }
 
 } // namespace acic

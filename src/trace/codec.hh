@@ -1,7 +1,8 @@
 /**
  * @file
- * The one record codec. Every trace byte in the repo — the on-disk
- * `.acictrace` payload (trace/io.hh), the framed `.acis` stream
+ * The one record codec. Every trace byte in the repo — the
+ * `.acictrace` payload on disk (trace/io.hh) and in memory
+ * (trace/memory.hh), the framed `.acis` stream
  * payload (trace/streaming.hh), and the native re-import path
  * (trace/import/) — is encoded and decoded here, so the Belady
  * oracle pass and the timing pass can never see different demand
@@ -179,8 +180,15 @@ class RecordCodec
 
     Addr prevNext() const { return prevNext_; }
 
+    /** Append the encodings of @p insts[0, @p n) to @p out. */
+    void encode(const TraceInst *insts, std::size_t n,
+                std::vector<std::uint8_t> &out);
+
     /** Append the encoding of @p inst to @p out. */
-    void encode(const TraceInst &inst, std::vector<std::uint8_t> &out);
+    void encode(const TraceInst &inst, std::vector<std::uint8_t> &out)
+    {
+        encode(&inst, 1, out);
+    }
 
     /**
      * Decode up to @p n records from [@p p, @p end) into @p out,
@@ -201,58 +209,6 @@ class RecordCodec
   private:
     Addr prevNext_;
     std::string label_;
-};
-
-/**
- * Buffered decoder of a record payload read through a ByteRead:
- * pulls bytes in large reads, carries a record that straddles two
- * reads over to the next one, and decodes them with RecordCodec into
- * an owned block of records that acquire() hands out.
- */
-class RecordReader
-{
-  public:
-    /** Decode the @p count records of the payload whose first byte
-     *  is the next one @p read returns, at stream offset @p offset;
-     *  @p label (a path) prefixes error messages. */
-    RecordReader(ByteRead read, std::string label, std::uint64_t offset,
-                 std::uint64_t count);
-
-    /** Drop buffered bytes and records after the caller repositioned
-     *  the input at stream offset @p offset, the start of record
-     *  @p index, whose chain state is @p prev_next. */
-    void restart(std::uint64_t offset, Addr prev_next,
-                 std::uint64_t index);
-
-    /**
-     * Hand out the next run of up to @p max records (TraceSource::
-     * acquireRun semantics: the run stays valid until the next call).
-     * Returns nullptr once all count records were handed out; throws
-     * TraceTruncatedError when the input ends before them.
-     */
-    const TraceInst *acquire(std::uint64_t max, std::uint64_t &n);
-
-  private:
-    /** Decode the next block; false once all count records are. */
-    bool decodeBlock();
-    /** Move the unread tail to the front and read more behind it;
-     *  false when the input has no more bytes. */
-    bool refill();
-
-    ByteRead read_;
-    std::string label_;
-    RecordCodec codec_;
-    std::vector<std::uint8_t> buf_;
-    std::size_t pos_ = 0;
-    std::size_t end_ = 0;
-    /** Stream offset of buf_[0]. */
-    std::uint64_t base_ = 0;
-    std::uint64_t count_;
-    /** Records decoded so far (the index of the next one). */
-    std::uint64_t decoded_ = 0;
-    std::vector<TraceInst> block_;
-    std::size_t blockPos_ = 0;
-    std::size_t blockEnd_ = 0;
 };
 
 } // namespace acic

@@ -1,22 +1,25 @@
 /**
  * @file
  * Trace-decode failure contract of the record codec and every
- * reader built on it (FileTraceSource, StreamingTraceSource, the
- * native importer). Any of them can be handed bytes that end
+ * reader built on it (loadTrace and its cursors, StreamingTraceSource,
+ * the native importer). Any of them can be handed bytes that end
  * mid-record — a copy that died partway, a producer SIGKILLed
- * mid-frame — or garbage, and each raises one of these two named
+ * mid-frame — or garbage, and each raises one of these named
  * exceptions instead of exiting.
  *
- * Both types derive from std::runtime_error, so the CLI's existing
+ * All types derive from std::runtime_error, so the CLI's existing
  * catch-all maps them to exit code 1 with the message printed; the
  * message always carries the byte offset and, for truncation, the
- * expected/got byte counts, so the error localizes the damage.
+ * expected/got byte counts, so the error localizes the damage. A
+ * file that cannot be opened at all raises TraceOpenError, whose
+ * message names the path.
  */
 
 #ifndef ACIC_TRACE_ERRORS_HH
 #define ACIC_TRACE_ERRORS_HH
 
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -65,6 +68,19 @@ class TraceTruncatedError : public TraceFormatError
   private:
     std::uint64_t expected_;
     std::uint64_t got_;
+};
+
+/** A trace file that cannot be opened for reading; @p err is the
+ *  errno of the failed open. */
+class TraceOpenError : public std::runtime_error
+{
+  public:
+    TraceOpenError(const std::string &path, int err)
+        : std::runtime_error("cannot open trace file " + path +
+                             " for reading (" + std::strerror(err) +
+                             ")")
+    {
+    }
 };
 
 } // namespace acic

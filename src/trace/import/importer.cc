@@ -16,11 +16,12 @@ namespace {
 constexpr std::size_t kProbeBytes = 4096;
 
 /**
- * Native `.acictrace` re-encoder: streams an existing container
- * (possibly gzip-compressed) through decode/append. Gives
- * `acic_run import` an identity path — re-framing, decompressing, or
- * upgrading traces — and preserves the stored workload name. Header
- * and records decode through the shared codec (trace/codec.hh).
+ * Native `.acictrace` re-encoder: reads an existing container
+ * (possibly gzip-compressed) into an image and appends its records.
+ * Gives `acic_run import` an identity path — re-framing,
+ * decompressing, or upgrading traces — and preserves the stored
+ * workload name. The input gets the header and footer checks of
+ * loadTrace() and its records decode through the shared codec.
  */
 class NativeImporter : public TraceImporter
 {
@@ -54,13 +55,11 @@ class NativeImporter : public TraceImporter
         const ByteRead read = [&in](void *dst, std::size_t n) {
             return in.read(dst, n);
         };
-        const TraceHeader header = decodeTraceHeader(read, in.path());
-        RecordReader reader(read, in.path(), header.bytes(),
-                            header.instructions);
+        MemoryTraceSource records(readTrace(read, in.path()));
         std::uint64_t n = 0;
-        while (const TraceInst *run = reader.acquire(~std::uint64_t{0}, n))
-            for (std::uint64_t i = 0; i < n; ++i)
-                out.append(run[i]);
+        while (const TraceInst *run =
+                   records.acquireRun(~std::uint64_t{0}, n))
+            out.append(run, static_cast<std::size_t>(n));
         return out.written();
     }
 };

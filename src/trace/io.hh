@@ -1,10 +1,13 @@
 /**
  * @file
- * On-disk trace container (.acictrace): a buffered writer and a
- * re-iterable reader of the versioned header + record payload that
- * trace/codec.hh defines. Captured synthetic workloads replay
- * bit-exactly from disk, and the same container is the landing pad
- * for imported QEMU/ChampSim-style instruction traces.
+ * On-disk trace container (.acictrace): the versioned header and
+ * record payload that trace/codec.hh defines, followed by the index
+ * footer. TraceWriter streams a TraceEncoder (trace/memory.hh) to a
+ * file and loadTrace() reads a file back into a TraceImage, so a
+ * file and an in-memory image hold the same bytes. Captured
+ * synthetic workloads replay bit-exactly from disk, and the same
+ * container is the landing pad for imported QEMU/ChampSim-style
+ * instruction traces.
  *
  * Version 2 appends an optional *index footer* after the records so
  * readers can seek to an instruction without decoding everything
@@ -22,7 +25,7 @@
  *
  * The footer is announced by the kFlagHasIndex header flag and is
  * strictly additive: version-1 files (no footer) still load, and
- * seekTo() on them falls back to linear decode. Readers locate the
+ * seeks on them fall back to linear decode. Readers locate the
  * footer from the end of the file, so the record payload needs no
  * length prefix.
  */
@@ -32,29 +35,21 @@
 
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "trace/codec.hh"
 #include "trace/memory.hh"
 
 namespace acic {
 
-/** One index-footer entry: decoder state at instruction j*N. */
-struct TraceCheckpoint
-{
-    /** Byte offset of the record, relative to the payload start. */
-    std::uint64_t offset = 0;
-    /** nextPc of the preceding record (the varint-chain state). */
-    std::uint64_t prevNext = 0;
-};
-
 /**
- * Streaming trace writer. Buffered; append() never seeks, the
- * instruction count is patched into the header by close() — which
- * requires a seekable output, so the constructor rejects pipes,
- * FIFOs, and other non-seekable targets up front instead of leaving
- * a corrupt (count = 0) header behind.
+ * Streaming trace writer: a TraceEncoder whose pending bytes are
+ * flushed to a file. append() never seeks, the instruction count is
+ * patched into the header by close() — which requires a seekable
+ * output, so the constructor rejects pipes, FIFOs, and other
+ * non-seekable targets up front instead of leaving a corrupt
+ * (count = 0) header behind.
  */
 class TraceWriter
 {
@@ -77,11 +72,17 @@ class TraceWriter
     TraceWriter(const TraceWriter &) = delete;
     TraceWriter &operator=(const TraceWriter &) = delete;
 
+    /** Encode and buffer the run @p run[0, @p n). */
+    void append(const TraceInst *run, std::size_t n);
+
     /** Encode and buffer one instruction. */
-    void append(const TraceInst &inst);
+    void append(const TraceInst &inst) { append(&inst, 1); }
 
     /** Records appended so far. */
-    std::uint64_t written() const { return count_; }
+    std::uint64_t written() const
+    {
+        return encoder_.image().instructions;
+    }
 
     /** Flush, patch the header count, and close the file. */
     void close();
@@ -90,89 +91,52 @@ class TraceWriter
     void flush();
 
     std::ofstream out_;
-    std::vector<std::uint8_t> buf_;
-    RecordCodec codec_;
-    std::uint64_t count_ = 0;
+    TraceEncoder encoder_;
     bool open_ = false;
-
-    std::uint64_t indexInterval_ = 0;
-    std::uint64_t headerBytes_ = 0;
-    /** Bytes written to out_ so far (header + records). */
-    std::uint64_t flushedBytes_ = 0;
-    std::vector<TraceCheckpoint> checkpoints_;
 };
 
 /**
- * Reader over a .acictrace file, exposing the TraceSource
- * re-iterability contract: reset() seeks back to the first record and
- * the identical stream replays. A RecordReader decodes the payload a
- * block of records at a time, and acquireRun() serves that block
- * (the default next() and decodeBatch() copy from acquireRun()).
+ * Read the trace file @p path into an image, checking its header and
+ * index footer (records are checked as cursors decode them).
  *
- * Failure contract (trace/errors.hh): the constructor throws
- * TraceFormatError on a bad magic, version, name length or index
- * footer and TraceTruncatedError on a header or footer cut short;
- * reads throw TraceTruncatedError when the file ends before the
- * header's record count and TraceFormatError on a corrupt record.
- * Every message carries the path and the absolute byte offset.
+ * Failure contract (trace/errors.hh): TraceOpenError when the file
+ * cannot be opened; TraceFormatError on a bad magic, version, name
+ * length or index footer and TraceTruncatedError on a header or
+ * footer cut short. Every message carries the path, and the format
+ * errors the absolute byte offset.
  */
-class FileTraceSource : public TraceSource
+std::shared_ptr<const TraceImage> loadTrace(const std::string &path);
+
+/** loadTrace() over the bytes @p read supplies (a whole file,
+ *  possibly decompressed); @p label (a path) names it in errors. */
+std::shared_ptr<const TraceImage> readTrace(const ByteRead &read,
+                                            const std::string &label);
+
+/**
+ * A cursor over loadTrace(@p path): the MemoryTraceSource every
+ * trace file is read through, plus the file's format accessors.
+ */
+class FileTraceSource : public MemoryTraceSource
 {
   public:
-    /** Open and validate @p path; ACIC_FATALs when it cannot be
-     *  opened. */
-    explicit FileTraceSource(const std::string &path);
-
-    /** Not copyable or movable: the reader holds a reference to in_. */
-    FileTraceSource(const FileTraceSource &) = delete;
-    FileTraceSource &operator=(const FileTraceSource &) = delete;
-
-    void reset() override { seekTo(0); }
-
-    /** A run out of the decoded block; valid until the next call
-     *  that consumes records. */
-    const TraceInst *
-    acquireRun(std::uint64_t max, std::uint64_t &n) override
+    explicit FileTraceSource(const std::string &path)
+        : MemoryTraceSource(loadTrace(path))
     {
-        return reader_.acquire(max, n);
     }
-
-    std::uint64_t length() const override
-    {
-        return header_.instructions;
-    }
-    const std::string &name() const override { return header_.name; }
-
-    /**
-     * Position the cursor at instruction @p index: jump to the
-     * nearest preceding index-footer checkpoint (the decoder state
-     * stored every 64K instructions) and decode forward from there.
-     * On a footerless (version 1) file this degrades to a linear
-     * decode from the start.
-     */
-    bool seekTo(std::uint64_t index) override;
 
     /** File-format version of the opened trace. */
-    std::uint16_t version() const { return header_.version; }
+    std::uint16_t version() const { return image()->version; }
 
     /** True when the file carries an index footer (a short indexed
      *  file may hold zero checkpoints — the payload start is the
      *  implicit checkpoint 0). */
-    bool hasIndex() const { return indexInterval_ != 0; }
+    bool hasIndex() const { return image()->indexInterval != 0; }
 
     /** Instructions per checkpoint (0 when footerless). */
-    std::uint64_t indexInterval() const { return indexInterval_; }
-
-  private:
-    void loadIndexFooter();
-
-    std::ifstream in_;
-    std::string path_;
-    TraceHeader header_;
-    RecordReader reader_;
-
-    std::uint64_t indexInterval_ = 0;
-    std::vector<TraceCheckpoint> checkpoints_;
+    std::uint64_t indexInterval() const
+    {
+        return image()->indexInterval;
+    }
 };
 
 /**

@@ -49,9 +49,8 @@ struct TraceInst
 
 /**
  * A fixed-capacity struct-of-arrays instruction buffer, filled 64
- * records at a time by TraceSource::decodeBatch(). Batching turns
- * the per-instruction virtual next() call into one virtual call per
- * 64 instructions for sources without contiguous storage.
+ * records at a time by TraceSource::decodeBatch(), one virtual call
+ * per 64 instructions.
  */
 struct InstBatch
 {
@@ -98,8 +97,20 @@ class TraceSource
     virtual void reset() = 0;
 
     /**
+     * Pull: return a pointer to the next contiguous run of up to
+     * @p max instructions, set @p n to its length, and consume those
+     * instructions from the stream (a later next() or decodeBatch()
+     * continues after the run). Returns nullptr with n = 0 once the
+     * stream is exhausted. The pointer stays valid at least until
+     * the next call that consumes records. Every source implements
+     * it; it is the one pull the simulator's consumers use.
+     */
+    virtual const TraceInst *acquireRun(std::uint64_t max,
+                                        std::uint64_t &n) = 0;
+
+    /**
      * Produce the next instruction. The default copies a one-record
-     * acquireRun(); sources without contiguous storage override it.
+     * acquireRun().
      * @return false when the trace is exhausted.
      */
     virtual bool
@@ -117,8 +128,7 @@ class TraceSource
      * Fill @p out with the next up-to-64 instructions; the batched
      * equivalent of next(), consuming the identical stream (a
      * decodeBatch after N next() calls continues at instruction N,
-     * and vice versa). Copies from acquireRun() while the source
-     * hands out runs, then falls back to next().
+     * and vice versa). The default copies from acquireRun().
      * @return out.count (0 when the trace is exhausted).
      */
     virtual unsigned
@@ -134,28 +144,7 @@ class TraceSource
             for (std::uint64_t i = 0; i < n; ++i)
                 out.set(out.count++, run[i]);
         }
-        TraceInst inst;
-        while (out.count < InstBatch::kCapacity && next(inst))
-            out.set(out.count++, inst);
         return out.count;
-    }
-
-    /**
-     * Zero-copy pull: return a pointer to the next contiguous run of
-     * up to @p max instructions, set @p n to its length, and consume
-     * those instructions from the stream (a later next() or
-     * decodeBatch() continues after the run). Sources without
-     * contiguous storage keep the default, which returns nullptr
-     * with n = 0 and consumes nothing — callers then fall back to
-     * decodeBatch(). The pointer stays valid at least until the next
-     * call that consumes records.
-     */
-    virtual const TraceInst *
-    acquireRun(std::uint64_t max, std::uint64_t &n)
-    {
-        (void)max;
-        n = 0;
-        return nullptr;
     }
 
     /** Total dynamic instructions the source will emit. */
@@ -169,9 +158,8 @@ class TraceSource
      * @p index (0-based within this source's region). Checkpoint
      * resume uses this to re-align a fresh cursor with a serialized
      * BundleWalker. The default implementation replays from reset()
-     * — always correct, O(index); random-access sources (in-memory
-     * images, indexed v2 trace files) override with O(1)/O(64K)
-     * seeks.
+     * — always correct, O(index); MemoryTraceSource overrides it
+     * with an O(64K) seek through the image's index checkpoints.
      * @return true when the stream now holds exactly
      *         length() - index remaining instructions; false when
      *         @p index lies past the end (index == length() is a

@@ -121,8 +121,9 @@ struct Workloads
 
 /**
  * Apply the ACIC_TRACE_LEN override (a positive instruction count)
- * to @p params, for quick runs. A malformed or non-positive value is
- * ignored with a warning. Callers that own a length precedence (the
+ * to @p params, for quick runs. The variable is read on every call;
+ * a malformed or non-positive value is ignored, with a warning the
+ * first time in the process. Callers that own a length precedence (the
  * experiment driver ranks an explicit override above the env var)
  * apply their own override afterwards.
  */

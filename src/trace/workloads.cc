@@ -1,5 +1,6 @@
 #include "trace/workload_params.hh"
 
+#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 
@@ -226,6 +227,9 @@ Workloads::byName(const std::string &name)
 WorkloadParams
 withEnvOverrides(WorkloadParams params)
 {
+    // Warn at most once per process: the driver and the benches
+    // re-read the variable for every workload.
+    static std::atomic<bool> warned{false};
     const char *env = std::getenv("ACIC_TRACE_LEN");
     if (!env)
         return params;
@@ -233,12 +237,14 @@ withEnvOverrides(WorkloadParams params)
     char *end = nullptr;
     const long long v = std::strtoll(env, &end, 10);
     if (end == env || *end != '\0' || errno == ERANGE) {
-        warn("ACIC_TRACE_LEN is not a number; ignoring override");
+        if (!warned.exchange(true))
+            warn("ACIC_TRACE_LEN is not a number; ignoring override");
         return params;
     }
     if (v <= 0) {
-        warn("ACIC_TRACE_LEN must be a positive instruction count; "
-             "ignoring override");
+        if (!warned.exchange(true))
+            warn("ACIC_TRACE_LEN must be a positive instruction count; "
+                 "ignoring override");
         return params;
     }
     params.instructions = static_cast<std::uint64_t>(v);

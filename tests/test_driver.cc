@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -382,4 +383,30 @@ TEST(Runner, EnvOverrideRejectsGarbage)
     ::setenv("ACIC_TRACE_LEN", "2345", 1);
     EXPECT_EQ(withEnvOverrides(params).instructions, 2'345u);
     ::unsetenv("ACIC_TRACE_LEN");
+}
+
+TEST(Runner, EnvOverrideWarnsOncePerProcess)
+{
+    // The warning latch is per process and another test may already
+    // have tripped it, so count in a freshly started child.
+    const std::string style = GTEST_FLAG_GET(death_test_style);
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    EXPECT_EXIT(
+        {
+            ::setenv("ACIC_TRACE_LEN", "abc", 1);
+            const auto params = Workloads::byName("tpcc");
+            testing::internal::CaptureStderr();
+            for (int i = 0; i < 3; ++i)
+                (void)withEnvOverrides(params);
+            const std::string err =
+                testing::internal::GetCapturedStderr();
+            std::size_t lines = 0;
+            for (std::size_t at = err.find("ACIC_TRACE_LEN");
+                 at != std::string::npos;
+                 at = err.find("ACIC_TRACE_LEN", at + 1))
+                ++lines;
+            std::exit(lines == 1 ? 0 : 10 + static_cast<int>(lines));
+        },
+        testing::ExitedWithCode(0), "");
+    GTEST_FLAG_SET(death_test_style, style);
 }

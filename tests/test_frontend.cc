@@ -29,13 +29,16 @@ class ScriptedTrace : public TraceSource
     {
     }
     void reset() override { pos_ = 0; }
-    bool
-    next(TraceInst &out) override
+    const TraceInst *
+    acquireRun(std::uint64_t max, std::uint64_t &n) override
     {
-        if (pos_ >= insts_.size())
-            return false;
-        out = insts_[pos_++];
-        return true;
+        const std::uint64_t avail = insts_.size() - pos_;
+        n = avail < max ? avail : max;
+        if (n == 0)
+            return nullptr;
+        const TraceInst *run = insts_.data() + pos_;
+        pos_ += n;
+        return run;
     }
     std::uint64_t length() const override { return insts_.size(); }
     const std::string &name() const override { return name_; }

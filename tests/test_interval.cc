@@ -14,6 +14,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -145,6 +147,25 @@ TEST(IntervalDriver, IntervalsOneUsesLegacyMonolithicPath)
 }
 
 #ifndef _WIN32
+TEST(StatCli, MissingTraceNamesThePath)
+{
+    const std::string path = "no_such_dir/missing.acictrace";
+    const std::string err = "acic_test_missing.stderr";
+    const std::string cmd = std::string(ACIC_RUN_BIN) + " stat " +
+                            path + " >/dev/null 2>" + err;
+    const int status = std::system(cmd.c_str());
+    ASSERT_NE(status, -1);
+    EXPECT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 1);
+
+    std::ifstream in(err);
+    const std::string captured((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+    std::remove(err.c_str());
+    EXPECT_NE(captured.find(path), std::string::npos)
+        << "stderr was: " << captured;
+}
+
 TEST(StatCli, EmptyTraceFailsWithClearError)
 {
     // A zero-record trace is structurally valid on disk, but every

@@ -84,6 +84,15 @@ makeInsts(std::size_t n, std::uint64_t seed)
     return out;
 }
 
+/** An in-memory image of @p insts. */
+std::shared_ptr<const TraceImage>
+encodeInsts(const std::vector<TraceInst> &insts, const std::string &name)
+{
+    TraceEncoder encoder(name);
+    encoder.append(insts.data(), insts.size());
+    return encoder.finish();
+}
+
 /** Frame @p insts into a byte string (default frame size unless
  *  given). */
 std::string
@@ -628,9 +637,7 @@ TEST(TraceFileErrors, CorruptKindRaisesFormatErrorWithOffset)
 TEST(StreamTee, CursorsSeeIdenticalSequences)
 {
     const auto insts = makeInsts(20000, 31);
-    auto image =
-        std::make_shared<std::vector<TraceInst>>(insts);
-    MemoryTraceSource upstream(image, "tee");
+    MemoryTraceSource upstream(encodeInsts(insts, "tee"));
     StreamTee tee(upstream, 3, 512);
 
     // Cursor 0 drains via next(), cursor 1 via decodeBatch, cursor 2
@@ -660,9 +667,7 @@ TEST(StreamTee, CursorsSeeIdenticalSequences)
 TEST(StreamTee, LockstepTrimBoundsBacklog)
 {
     const auto insts = makeInsts(50000, 32);
-    auto image =
-        std::make_shared<std::vector<TraceInst>>(insts);
-    MemoryTraceSource upstream(image, "tee");
+    MemoryTraceSource upstream(encodeInsts(insts, "tee"));
     const std::size_t chunk = 256;
     StreamTee tee(upstream, 2, chunk);
 
@@ -688,9 +693,7 @@ TEST(StreamTee, LockstepTrimBoundsBacklog)
 TEST(StreamTee, AcquireRunSurvivesTrim)
 {
     const auto insts = makeInsts(4000, 33);
-    auto image =
-        std::make_shared<std::vector<TraceInst>>(insts);
-    MemoryTraceSource upstream(image, "tee");
+    MemoryTraceSource upstream(encodeInsts(insts, "tee"));
     StreamTee tee(upstream, 1, 128);
 
     std::uint64_t n = 0;
@@ -711,9 +714,7 @@ TEST(StreamTee, AcquireRunSurvivesTrim)
 TEST(StreamTee, LaggingCursorHoldsBacklog)
 {
     const auto insts = makeInsts(10000, 34);
-    auto image =
-        std::make_shared<std::vector<TraceInst>>(insts);
-    MemoryTraceSource upstream(image, "tee");
+    MemoryTraceSource upstream(encodeInsts(insts, "tee"));
     StreamTee tee(upstream, 2, 256);
 
     // Cursor 0 races ahead; cursor 1 stays at zero, so trim() must

@@ -3,13 +3,16 @@
  * Tests of the on-disk trace subsystem: varint/zigzag primitives,
  * write->read round-trips (including after reset(), the
  * re-iterability contract), header metadata, compactness of the
- * encoding, and the MemoryTraceSource sharing primitive.
+ * encoding, the encoded trace image and its MemoryTraceSource
+ * cursor (region cursors and index seeks on v2 and v1 files).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -227,22 +230,23 @@ TEST(TraceIo, HandlesBackwardAndUnlinkedDeltas)
 TEST(MemorySource, SharesOneImageAcrossCursors)
 {
     SyntheticWorkload synth(tinyParams(5'000));
-    const TraceImage image = materializeTrace(synth);
-    EXPECT_EQ(image->size(), 5'000u);
+    const auto reference = drain(synth);
+    const auto image = encodeTrace(synth);
+    EXPECT_EQ(image->instructions, 5'000u);
 
-    MemoryTraceSource a(image, "ws");
-    MemoryTraceSource b(image, "ws");
+    MemoryTraceSource a(image);
+    MemoryTraceSource b(image);
     // Interleaved iteration: private cursors over shared storage.
     TraceInst ia, ib;
     ASSERT_TRUE(a.next(ia));
     ASSERT_TRUE(a.next(ia));
     ASSERT_TRUE(b.next(ib));
-    EXPECT_EQ(ib.pc, (*image)[0].pc);
-    EXPECT_EQ(ia.pc, (*image)[1].pc);
+    EXPECT_EQ(ib.pc, reference[0].pc);
+    EXPECT_EQ(ia.pc, reference[1].pc);
     EXPECT_EQ(a.image().get(), b.image().get());
 
     a.reset();
-    expectSameStream(*image, drain(a));
+    expectSameStream(reference, drain(a));
 }
 
 TEST(MemorySource, CaptureMatchesSource)
@@ -250,10 +254,10 @@ TEST(MemorySource, CaptureMatchesSource)
     SyntheticWorkload synth(tinyParams(5'000));
     const auto original = drain(synth);
     synth.reset();
-    MemoryTraceSource captured = MemoryTraceSource::capture(synth);
-    EXPECT_EQ(captured.name(), synth.name());
-    EXPECT_EQ(captured.length(), original.size());
-    expectSameStream(original, drain(captured));
+    MemoryTraceSource encoded(encodeTrace(synth));
+    EXPECT_EQ(encoded.name(), synth.name());
+    EXPECT_EQ(encoded.length(), original.size());
+    expectSameStream(original, drain(encoded));
 }
 
 TEST(TraceIndex, WriterEmitsFooterAndReaderLoadsIt)
@@ -392,10 +396,9 @@ TEST(MemorySource, RegionCursorBehavesLikeCompleteSource)
     SyntheticWorkload synth(tinyParams(10'000));
     const auto reference = drain(synth);
     synth.reset();
-    MemoryTraceSource whole = MemoryTraceSource::capture(synth);
+    MemoryTraceSource whole(encodeTrace(synth));
 
-    MemoryTraceSource region(whole.image(), whole.name(), 2'000,
-                             7'000);
+    MemoryTraceSource region(whole.image(), 2'000, 7'000);
     EXPECT_EQ(region.length(), 5'000u);
     TraceInst inst;
     ASSERT_TRUE(region.next(inst));
@@ -418,7 +421,134 @@ TEST(MemorySource, RegionCursorBehavesLikeCompleteSource)
     EXPECT_EQ(sub.length(), 1'000u);
     ASSERT_TRUE(sub.next(inst));
     EXPECT_EQ(inst.pc, reference[3'000].pc);
-    MemoryTraceSource clamped(whole.image(), whole.name(), 9'000,
-                              1u << 30);
+    MemoryTraceSource clamped(whole.image(), 9'000, 1u << 30);
     EXPECT_EQ(clamped.length(), 1'000u);
+}
+
+namespace {
+
+/** Rewrite the header version of the trace at @p path to 1 — a
+ *  footerless v2 file is byte-wise a v1 file. */
+void
+markVersion1(const std::string &path)
+{
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.is_open());
+    f.seekp(4);
+    const char v1[2] = {1, 0};
+    f.write(v1, 2);
+}
+
+/** The next @p n records of @p src (fewer at its end). */
+std::vector<TraceInst>
+take(TraceSource &src, std::uint64_t n)
+{
+    std::vector<TraceInst> out;
+    TraceInst inst;
+    while (out.size() < n && src.next(inst))
+        out.push_back(inst);
+    return out;
+}
+
+} // namespace
+
+TEST(TraceIndex, CursorsAtCheckpointEdgesMatchLinearDecode)
+{
+    // Three default-interval checkpoints and a tail, so seeks land
+    // on, just before and just after real checkpoints.
+    constexpr std::uint64_t kInterval = TraceFormat::kIndexInterval;
+    SyntheticWorkload synth(tinyParams(3 * kInterval + 5'000));
+    const auto reference = drain(synth);
+    const std::uint64_t total = reference.size();
+    std::vector<std::uint64_t> targets;
+    for (std::uint64_t k = 1; k <= 3; ++k)
+        for (const std::uint64_t at :
+             {k * kInterval - 1, k * kInterval, k * kInterval + 1})
+            targets.push_back(at);
+    targets.push_back(total - 1);
+    targets.push_back(total);
+
+    const auto slice = [&](std::uint64_t begin, std::uint64_t n) {
+        const std::uint64_t end = std::min(total, begin + n);
+        return std::vector<TraceInst>(reference.begin() + begin,
+                                      reference.begin() + end);
+    };
+
+    TempTracePath v2("edges_v2");
+    recordTrace(synth, v2.str());
+    TempTracePath v1("edges_v1");
+    {
+        TraceWriter writer(v1.str(), synth.name(), 0);
+        for (const TraceInst &inst : reference)
+            writer.append(inst);
+    }
+    markVersion1(v1.str());
+
+    for (const std::string *path : {&v2.str(), &v1.str()}) {
+        FileTraceSource file(*path);
+        ASSERT_EQ(file.hasIndex(), path == &v2.str());
+        ASSERT_EQ(file.length(), total);
+        for (const std::uint64_t at : targets) {
+            const std::string where =
+                *path + " at " + std::to_string(at);
+            // seekTo, then a window that crosses the next edge.
+            ASSERT_TRUE(file.seekTo(at)) << where;
+            expectSameStream(slice(at, 3'000), take(file, 3'000));
+            // A region cursor starting there, and its own seek.
+            MemoryTraceSource region(file.image(), at, at + 2'000);
+            EXPECT_EQ(region.length(), std::min<std::uint64_t>(
+                                           2'000, total - at))
+                << where;
+            expectSameStream(slice(at, 2'000), drain(region));
+            if (at >= 2) {
+                MemoryTraceSource before(file.image(), at - 2, total);
+                ASSERT_TRUE(before.seekTo(2)) << where;
+                expectSameStream(slice(at, 100), take(before, 100));
+            }
+        }
+        // The end of the trace is a valid, exhausted position.
+        ASSERT_TRUE(file.seekTo(total));
+        TraceInst inst;
+        EXPECT_FALSE(file.next(inst));
+        EXPECT_FALSE(file.seekTo(total + 1));
+        // A full linear decode agrees too.
+        file.reset();
+        expectSameStream(reference, drain(file));
+    }
+}
+
+TEST(TraceIndex, EncodedImageEqualsRecordedFile)
+{
+    // One encoder: the image the driver holds and the file `record`
+    // writes carry the same payload bytes and the same checkpoints.
+    auto params = Workloads::byName("tpcc");
+    params.instructions = 2 * TraceFormat::kIndexInterval + 777;
+    SyntheticWorkload synth(params);
+    const auto image = encodeTrace(synth);
+    TempTracePath path("encoded_vs_file");
+    recordTrace(synth, path.str());
+
+    std::ifstream in(path.str(), std::ios::binary);
+    const std::string file((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const std::size_t header = TraceFormat::kHeaderBytes +
+                               image->name.size();
+    ASSERT_GE(file.size(), header + image->payload.size());
+    EXPECT_EQ(file.substr(header, image->payload.size()),
+              std::string(image->payload.begin(),
+                          image->payload.end()));
+
+    const auto loaded = loadTrace(path.str());
+    EXPECT_EQ(loaded->name, image->name);
+    EXPECT_EQ(loaded->instructions, image->instructions);
+    EXPECT_EQ(loaded->payload, image->payload);
+    EXPECT_EQ(loaded->indexInterval, image->indexInterval);
+    ASSERT_EQ(loaded->checkpoints.size(), 2u);
+    ASSERT_EQ(image->checkpoints.size(), 2u);
+    for (std::size_t j = 0; j < 2; ++j) {
+        EXPECT_EQ(loaded->checkpoints[j].offset,
+                  image->checkpoints[j].offset);
+        EXPECT_EQ(loaded->checkpoints[j].prevNext,
+                  image->checkpoints[j].prevNext);
+    }
 }
