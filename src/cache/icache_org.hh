@@ -43,6 +43,14 @@ class IcacheOrg
      * at or below the next cycle on which tick() would do work (0 is
      * always safe: tick every cycle); the base leaves it at
      * kNeverTick because this default tick() does nothing.
+     *
+     * tickWake_ also gates the engine's clock skip: after a cycle in
+     * which no stage acted, SimEngine jumps the clock to the earliest
+     * pending event, nextTick() among them, so a tickWake_ above the
+     * next cycle with work would skip that work. A decorator that
+     * wraps another organization must therefore forward nextTick()
+     * into its own tickWake_ or keep it at 0; 0 dispatches tick()
+     * every cycle and so disables skipping.
      */
     virtual void tick(Cycle now) { (void)now; }
 
@@ -51,12 +59,18 @@ class IcacheOrg
      * when pipeline work can be due, so the many organizations with
      * no update pipeline (and ACIC between training bursts) cost
      * nothing per cycle instead of a virtual-call chain.
+     * @return true when tick() was dispatched.
      */
-    void maybeTick(Cycle now)
+    bool maybeTick(Cycle now)
     {
-        if (now >= tickWake_)
-            tick(now);
+        if (now < tickWake_)
+            return false;
+        tick(now);
+        return true;
     }
+
+    /** Earliest cycle at which tick() can have work (tickWake_). */
+    Cycle nextTick() const { return tickWake_; }
 
     /** Scheme name as used in bench tables. */
     virtual std::string name() const = 0;

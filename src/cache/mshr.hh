@@ -71,6 +71,10 @@ class MshrFile
         return used_ != 0 && now >= minReady_;
     }
 
+    /** Earliest cycle at which a fill can be due (a lower bound, as
+     *  for anyReady()); ~0 when no miss is in flight. */
+    Cycle nextReady() const { return used_ == 0 ? ~Cycle{0} : minReady_; }
+
     /** In-flight entry count. */
     std::uint32_t inFlight() const { return used_; }
 

@@ -31,6 +31,14 @@ struct CellStats
     std::uint64_t spans = 0; ///< 1 monolithic, else shard count
 };
 
+/** Instructions, cycles and stepped cycles of one engine phase. */
+struct ClockStats
+{
+    double insts = 0.0;
+    double cycles = 0.0;
+    double steps = 0.0;
+};
+
 /** Running min/mean/max of one gauge name. */
 struct GaugeStats
 {
@@ -68,6 +76,7 @@ writeTelemetryReport(std::istream &in, std::ostream &out,
     std::map<std::string, SpanStats> spans;
     std::map<std::pair<std::string, std::string>, CellStats> cells;
     std::map<std::string, GaugeStats> gauges;
+    std::map<std::string, ClockStats> clocks;
 
     // Heartbeat aggregates, instruction-weighted where a mean over
     // windows would over-count short ones.
@@ -121,6 +130,15 @@ writeTelemetryReport(std::istream &in, std::ostream &out,
                     c.scheme = scheme;
                     c.totalUs += durUs;
                     ++c.spans;
+                }
+            }
+            if (name == "engine.warmUp" || name == "engine.measure") {
+                const json::Value *attrs = ev.find("attrs");
+                if (attrs && attrs->find("steps")) {
+                    ClockStats &c = clocks[name];
+                    c.insts += attrs->num("target_insts");
+                    c.cycles += attrs->num("cycles");
+                    c.steps += attrs->num("steps");
                 }
             }
         } else if (kind == "count") {
@@ -241,6 +259,24 @@ writeTelemetryReport(std::istream &in, std::ostream &out,
                  : "-"});
         table.addNote("window means are instruction-weighted; "
                       "aggregate rate sums concurrent engines");
+        out << table.str() << "\n";
+    }
+
+    if (!clocks.empty()) {
+        // Deterministic work counters: the same at any thread count.
+        TablePrinter table("Engine clock (cycles simulated vs stepped)");
+        table.setHeader({"phase", "insts", "cycles/kinst",
+                         "steps/kinst"});
+        const auto perKinst = [](double n, double insts) {
+            return insts > 0.0 ? TablePrinter::fmt(1000.0 * n / insts, 1)
+                               : std::string("-");
+        };
+        for (const auto &[name, c] : clocks)
+            table.addRow({name, TablePrinter::fmt(c.insts / 1e6, 2) + "M",
+                          perKinst(c.cycles, c.insts),
+                          perKinst(c.steps, c.insts)});
+        table.addNote("a step is one simulated cycle; the clock jumps "
+                      "over cycles in which no stage can act");
         out << table.str() << "\n";
     }
 

@@ -4,7 +4,8 @@
  * JSONL event stream a `--telemetry` run wrote (common/telemetry.hh
  * schema) and renders per-phase time breakdowns, a slowest-cells
  * table (per-cell simulation seconds, aggregated over interval
- * shards), heartbeat throughput/rolling-window aggregates, and pool
+ * shards), heartbeat throughput/rolling-window aggregates, the engine
+ * clock's cycles and stepped cycles per kilo-instruction, and pool
  * gauge ranges.
  */
 

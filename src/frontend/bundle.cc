@@ -31,29 +31,6 @@ loadInst(Deserializer &d, TraceInst &inst)
 
 } // namespace
 
-void
-saveBundle(Serializer &s, const Bundle &bundle)
-{
-    s.u64(bundle.blk);
-    s.u64(bundle.pc);
-    s.u8(bundle.count);
-    for (unsigned i = 0; i < bundle.count; ++i)
-        saveInst(s, bundle.insts[i]);
-}
-
-void
-loadBundle(Deserializer &d, Bundle &bundle)
-{
-    bundle.blk = d.u64();
-    bundle.pc = d.u64();
-    bundle.count = d.u8();
-    if (bundle.count > Bundle::kMaxInsts)
-        throw SerializeError("checkpoint bundle instruction count "
-                             "out of range (corrupt payload)");
-    for (unsigned i = 0; i < bundle.count; ++i)
-        loadInst(d, bundle.insts[i]);
-}
-
 BundleWalker::BundleWalker(TraceSource &source, unsigned width)
     : source_(source), width_(width)
 {

@@ -37,10 +37,6 @@ struct Bundle
     TraceInst insts[kMaxInsts];
 };
 
-/** Checkpoint one bundle (FTQ entries hold them by value). */
-void saveBundle(Serializer &s, const Bundle &bundle);
-void loadBundle(Deserializer &d, Bundle &bundle);
-
 /** Streams bundles off a TraceSource; deterministic and re-usable. */
 class BundleWalker
 {

@@ -8,7 +8,7 @@ namespace acic {
 
 MachineState::MachineState(const SimConfig &config, TraceSource &trace)
     : walker(trace, config.fetchWidth),
-      btb(config.btbEntries, config.btbWays), ras(config.rasDepth),
+      bp(config.btbEntries, config.btbWays, config.rasDepth),
       mshr(config.l1iMshrs), hierarchy(config.hierarchy)
 {
     fills.reserve(config.l1iMshrs);
@@ -22,9 +22,10 @@ MachineState::MachineState(const SimConfig &config, TraceSource &trace)
 }
 
 SimEngine::SimEngine(const SimConfig &config, TraceSource &trace,
-                     IcacheOrg &org, const DemandOracle *oracle)
+                     IcacheOrg &org, const DemandOracle *oracle,
+                     const BranchTable *branches)
     : config_(config), trace_(trace), org_(org), oracle_(oracle),
-      state_(config, trace)
+      branches_(branches), state_(config, trace)
 {
     // The walker reads lazily, so rewinding here (as the monolithic
     // run() did up front) happens before any instruction is pulled.
@@ -71,6 +72,9 @@ SimEngine::functionalWarm(TraceSource &prefix)
     MachineState &m = state_;
     ACIC_ASSERT(m.cycle == 0 && m.retired == 0 && m.ftq.empty(),
                 "functionalWarm() must precede any stepping");
+    ACIC_ASSERT(branches_ == nullptr,
+                "functionalWarm() needs live branch prediction: a "
+                "branch table starts from cold predictors");
     TelemetryScope span("engine.functionalWarm");
     if (span.live()) {
         span.attr("workload", trace_.name());
@@ -80,11 +84,11 @@ SimEngine::functionalWarm(TraceSource &prefix)
     // instruction stream under a coarse stall-until-fill clock
     // (1 cycle per fetch bundle plus the miss service latency):
     //
-    //  - Branch predictors: mirror stage 5 of stepCycle() call for
-    //    call — predict() and lookup() mutate internal
-    //    history/recency state, so skipping them would leave the
-    //    predictors in a different state than a timed simulation of
-    //    the same prefix would.
+    //  - Branch predictors: the same BranchUnit::predict() call per
+    //    bundle as stage 5 of stepCycle() — TAGE and BTB lookups
+    //    mutate history/recency state, so skipping them would leave
+    //    the predictors in a different state than a timed simulation
+    //    of the same prefix would.
     //  - The organization itself: replacement/admission metadata
     //    (SRRIP RRPVs, the ACIC history and pattern tables) trains
     //    over the whole preceding trace, far longer than any
@@ -132,32 +136,7 @@ SimEngine::functionalWarm(TraceSource &prefix)
             }
         }
         ++m.cycle;
-        for (unsigned i = 0; i < bundle.count; ++i) {
-            const TraceInst &inst = bundle.insts[i];
-            switch (inst.kind) {
-              case BranchKind::None:
-                break;
-              case BranchKind::Cond: {
-                const bool pred = m.tage.predict(inst.pc);
-                m.tage.update(inst.pc, inst.taken);
-                if (pred == inst.taken && inst.taken)
-                    (void)m.btb.lookup(inst.pc);
-                if (inst.taken)
-                    m.btb.update(inst.pc, inst.nextPc);
-                break;
-              }
-              case BranchKind::Direct:
-              case BranchKind::Call:
-                (void)m.btb.lookup(inst.pc);
-                m.btb.update(inst.pc, inst.nextPc);
-                if (inst.kind == BranchKind::Call)
-                    m.ras.push(inst.pc + TraceInst::kInstBytes);
-                break;
-              case BranchKind::Return:
-                (void)m.ras.pop();
-                break;
-            }
-        }
+        (void)m.bp.predict(bundle);
     }
     const StatSet &hs = m.hierarchy.stats();
     funcL2Accesses_ = hs.get("hier.l2_hit") + hs.get("hier.l2_miss");
@@ -175,18 +154,23 @@ SimEngine::latchSnapshot()
     state_.warmupCycle = state_.cycle;
 }
 
-void
+bool
 SimEngine::stepCycle()
 {
     MachineState &m = state_;
+    // Whether any stage changed machine state this cycle. A cycle in
+    // which none did leaves everything but the clock as it was, so
+    // the next cycles repeat it until an event in nextEvent() comes.
+    bool acted = false;
 
     // ---- 1. Structure pipelines -------------------------------
-    org_.maybeTick(m.cycle);
+    acted |= org_.maybeTick(m.cycle);
 
     // ---- 2. Fill completions ----------------------------------
     if (m.mshr.anyReady(m.cycle)) {
         m.fills.clear();
         m.mshr.popReady(m.cycle, m.fills);
+        acted |= !m.fills.empty();
         for (const auto &fill : m.fills) {
             CacheAccess access;
             access.blk = fill.blk;
@@ -212,6 +196,7 @@ SimEngine::stepCycle()
                                     : config_.retireWidth;
         m.decodeQueue -= n;
         m.retired += n;
+        acted |= n != 0;
         if (!m.warmupSnapped && m.retired >= snapTarget_)
             latchSnapshot();
     }
@@ -219,22 +204,23 @@ SimEngine::stepCycle()
     // ---- 4. Fetch ---------------------------------------------
     if (!m.ftq.empty() && !m.waiting) {
         FtqEntry &head = m.ftq.front();
-        if (m.decodeQueue + head.bundle.count <=
-            config_.decodeQueueEntries) {
+        if (m.decodeQueue + head.count <= config_.decodeQueueEntries) {
             if (m.pendingAlloc) {
                 // Retry a blocked MSHR allocation.
                 const auto outcome = m.mshr.allocate(
-                    head.bundle.blk, m.cycle + m.pendingLatency,
-                    false, head.bundle.pc, head.seq);
+                    head.blk, m.cycle + m.pendingLatency, false,
+                    head.pc, head.seq);
                 if (outcome != MshrOutcome::Full) {
                     m.pendingAlloc = false;
                     m.waiting = true;
-                    m.waitingBlk = head.bundle.blk;
+                    m.waitingBlk = head.blk;
+                    acted = true;
                 }
             } else {
+                acted = true;
                 CacheAccess access;
-                access.pc = head.bundle.pc;
-                access.blk = head.bundle.blk;
+                access.pc = head.pc;
+                access.blk = head.blk;
                 access.seq = head.seq;
                 access.nextUse = nextUseOf(head.seq);
                 access.cycle = m.cycle;
@@ -244,7 +230,7 @@ SimEngine::stepCycle()
                     m.entangler.onDemandAccess(access.blk, m.cycle);
                 const bool hit = org_.access(access);
                 if (hit) {
-                    m.decodeQueue += head.bundle.count;
+                    m.decodeQueue += head.count;
                     if (head.redirectPenalty > 0) {
                         m.bpResumeAt = m.cycle + head.redirectPenalty;
                         m.bpWaitingRedirect = false;
@@ -276,9 +262,8 @@ SimEngine::stepCycle()
         }
     } else if (!m.ftq.empty() && m.waiting && m.headReady) {
         FtqEntry &head = m.ftq.front();
-        if (m.decodeQueue + head.bundle.count <=
-            config_.decodeQueueEntries) {
-            m.decodeQueue += head.bundle.count;
+        if (m.decodeQueue + head.count <= config_.decodeQueueEntries) {
+            m.decodeQueue += head.count;
             if (head.redirectPenalty > 0) {
                 m.bpResumeAt = m.cycle + head.redirectPenalty;
                 m.bpWaitingRedirect = false;
@@ -286,6 +271,7 @@ SimEngine::stepCycle()
             m.ftq.pop_front();
             m.waiting = false;
             m.headReady = false;
+            acted = true;
         }
     }
 
@@ -295,63 +281,36 @@ SimEngine::stepCycle()
          !m.bpWaitingRedirect && m.cycle >= m.bpResumeAt &&
          m.ftq.size() < config_.ftqEntries;
          ++bp_slot) {
-        FtqEntry entry;
-        if (!m.walker.next(entry.bundle)) {
+        acted = true;
+        Bundle bundle;
+        if (!m.walker.next(bundle)) {
             m.walkerDone = true;
-        } else {
-            entry.seq = m.seqCounter++;
-            Cycle penalty = 0;
-            for (unsigned i = 0; i < entry.bundle.count; ++i) {
-                const TraceInst &inst = entry.bundle.insts[i];
-                switch (inst.kind) {
-                  case BranchKind::None:
-                    break;
-                  case BranchKind::Cond: {
-                    const bool pred = m.tage.predict(inst.pc);
-                    m.tage.update(inst.pc, inst.taken);
-                    if (pred != inst.taken) {
-                        m.raw.bump(m.stMispredicts);
-                        penalty = config_.mispredictPenalty;
-                    } else if (inst.taken) {
-                        const auto target = m.btb.lookup(inst.pc);
-                        if (!target || *target != inst.nextPc) {
-                            m.raw.bump(m.stBtbMisses);
-                            if (penalty < config_.btbMissPenalty)
-                                penalty = config_.btbMissPenalty;
-                        }
-                    }
-                    if (inst.taken)
-                        m.btb.update(inst.pc, inst.nextPc);
-                    break;
-                  }
-                  case BranchKind::Direct:
-                  case BranchKind::Call: {
-                    const auto target = m.btb.lookup(inst.pc);
-                    if (!target || *target != inst.nextPc) {
-                        m.raw.bump(m.stBtbMisses);
-                        if (penalty < config_.btbMissPenalty)
-                            penalty = config_.btbMissPenalty;
-                    }
-                    m.btb.update(inst.pc, inst.nextPc);
-                    if (inst.kind == BranchKind::Call)
-                        m.ras.push(inst.pc + TraceInst::kInstBytes);
-                    break;
-                  }
-                  case BranchKind::Return: {
-                    const Addr predicted = m.ras.pop();
-                    if (predicted != inst.nextPc) {
-                        m.raw.bump(m.stRasMispredicts);
-                        penalty = config_.mispredictPenalty;
-                    }
-                    break;
-                  }
-                }
-            }
-            entry.redirectPenalty = penalty;
-            if (penalty > 0)
-                m.bpWaitingRedirect = true;
-            m.ftq.push_back(std::move(entry));
+            break;
         }
+        FtqEntry entry;
+        entry.blk = bundle.blk;
+        entry.pc = bundle.pc;
+        entry.count = bundle.count;
+        entry.seq = m.seqCounter++;
+        BranchOutcome outcome;
+        if (branches_ != nullptr) {
+            ACIC_ASSERT(entry.seq < branches_->size(),
+                        "branch table shorter than the engine's trace");
+            outcome = (*branches_)[entry.seq];
+        } else {
+            outcome = m.bp.predict(bundle);
+        }
+        if (outcome.mispredicts != 0)
+            m.raw.bump(m.stMispredicts, outcome.mispredicts);
+        if (outcome.btbMisses != 0)
+            m.raw.bump(m.stBtbMisses, outcome.btbMisses);
+        if (outcome.rasMisses != 0)
+            m.raw.bump(m.stRasMispredicts, outcome.rasMisses);
+        entry.redirectPenalty = outcome.redirectPenalty(
+            config_.mispredictPenalty, config_.btbMissPenalty);
+        if (entry.redirectPenalty > 0)
+            m.bpWaitingRedirect = true;
+        m.ftq.push_back(entry);
     }
 
     // ---- 6. Prefetch issue ------------------------------------
@@ -374,11 +333,11 @@ SimEngine::stepCycle()
             FtqEntry &entry = m.ftq[i];
             if (entry.prefetchConsidered)
                 continue;
-            if (issuePrefetch(entry.bundle.blk, entry.bundle.pc,
-                              entry.seq)) {
+            if (issuePrefetch(entry.blk, entry.pc, entry.seq)) {
                 entry.prefetchConsidered = true;
                 m.prefetchCursor = entry.seq + 1;
                 ++issued;
+                acted = true;
             } else {
                 break; // MSHRs full; retry next cycle
             }
@@ -390,10 +349,35 @@ SimEngine::stepCycle()
                m.entangler.popCandidate(candidate)) {
             issuePrefetch(candidate, 0, m.lastDemandSeq);
             ++issued;
+            acted = true;
         }
     }
 
     ++m.cycle;
+    return acted;
+}
+
+Cycle
+SimEngine::nextEvent() const
+{
+    // In a cycle where no stage acted, every stage was blocked on
+    // one of three events (or on state only another stage changes):
+    //  - the organization's next pipeline tick (tickWake_);
+    //  - the earliest in-flight MSHR fill, which also unblocks a
+    //    fetch waiting on its miss or on a full MSHR file and a
+    //    prefetch scan stopped by one;
+    //  - the end of a redirect stall, while the BP unit is
+    //    otherwise free to run (walker not done, no redirect
+    //    pending, FTQ not full).
+    const MachineState &m = state_;
+    Cycle wake = org_.nextTick();
+    const Cycle fill = m.mshr.nextReady();
+    if (fill < wake)
+        wake = fill;
+    if (!m.walkerDone && !m.bpWaitingRedirect &&
+        m.ftq.size() < config_.ftqEntries && m.bpResumeAt < wake)
+        wake = m.bpResumeAt;
+    return wake;
 }
 
 void
@@ -408,7 +392,15 @@ SimEngine::advanceUntilRetired(std::uint64_t target)
     while (m.retired < target) {
         ACIC_ASSERT(m.cycle < cycle_limit,
                     "simulator wedged: cycle limit exceeded");
-        stepCycle();
+        ++steps_;
+        if (!stepCycle()) {
+            // Idle cycles until the next event would repeat this one
+            // exactly; jump over them. The cap keeps a wedged
+            // machine (no event ever) hitting the assertion above.
+            const Cycle wake = nextEvent();
+            if (wake > m.cycle)
+                m.cycle = wake < cycle_limit ? wake : cycle_limit;
+        }
         // Telemetry heartbeat: hbNext_ is ~0 when disabled, so this
         // is the stepping loop's single predictable telemetry check.
         if (m.retired >= hbNext_)
@@ -467,16 +459,23 @@ SimEngine::warmUp(std::uint64_t n)
     }
     snapTarget_ = state_.retired + n;
     measureTarget_ = snapTarget_;
+    const Cycle cycle0 = state_.cycle;
+    const std::uint64_t steps0 = steps_;
     if (state_.retired >= snapTarget_) {
         // Zero-length warmup: latch before the first cycle, which is
         // where the legacy retire-stage check would latch (no counter
         // moves before the first retire stage).
         latchSnapshot();
-        return;
+    } else {
+        advanceUntilRetired(snapTarget_);
+        ACIC_ASSERT(state_.warmupSnapped,
+                    "warmup completed without latching its snapshot");
     }
-    advanceUntilRetired(snapTarget_);
-    ACIC_ASSERT(state_.warmupSnapped,
-                "warmup completed without latching its snapshot");
+    if (span.live()) {
+        span.attr("cycles",
+                  static_cast<std::uint64_t>(state_.cycle - cycle0));
+        span.attr("steps", steps_ - steps0);
+    }
 }
 
 void
@@ -491,7 +490,14 @@ SimEngine::measure(std::uint64_t n)
         span.attr("target_insts", n);
     }
     measureTarget_ += n;
+    const Cycle cycle0 = state_.cycle;
+    const std::uint64_t steps0 = steps_;
     advanceUntilRetired(measureTarget_);
+    if (span.live()) {
+        span.attr("cycles",
+                  static_cast<std::uint64_t>(state_.cycle - cycle0));
+        span.attr("steps", steps_ - steps0);
+    }
 }
 
 void
@@ -500,12 +506,13 @@ SimEngine::save(Serializer &s) const
     const MachineState &m = state_;
 
     // Identity header: the checkpoint only resumes into an engine
-    // built over the same trace, scheme, oracle mode, and core
-    // configuration.
+    // built over the same trace, scheme, oracle mode, branch
+    // prediction mode, and core configuration.
     s.str(trace_.name());
     s.u64(trace_.length());
     s.str(org_.name());
     s.b(oracle_ != nullptr);
+    s.b(branches_ != nullptr);
     s.u64(config_.fetchWidth);
     s.u64(config_.ftqEntries);
     s.u64(config_.decodeQueueEntries);
@@ -531,18 +538,20 @@ SimEngine::save(Serializer &s) const
 
     // Machine state. `fills` is per-cycle scratch (cleared before
     // every use in stepCycle) and the telemetry heartbeat is
-    // host-side-only, so neither travels.
+    // host-side-only, so neither travels; nor does the unused
+    // predictor state of a table-driven engine.
     m.walker.save(s);
-    m.tage.save(s);
-    m.btb.save(s);
-    m.ras.save(s);
+    if (branches_ == nullptr)
+        m.bp.save(s);
     m.mshr.save(s);
     m.hierarchy.save(s);
     m.entangler.save(s);
 
     s.u64(m.ftq.size());
     for (const FtqEntry &entry : m.ftq) {
-        saveBundle(s, entry.bundle);
+        s.u64(entry.blk);
+        s.u64(entry.pc);
+        s.u8(entry.count);
         s.u64(entry.seq);
         s.u64(entry.redirectPenalty);
         s.b(entry.prefetchConsidered);
@@ -589,6 +598,13 @@ SimEngine::load(Deserializer &d)
     if (d.b() != (oracle_ != nullptr))
         throw SerializeError("checkpoint oracle presence differs "
                              "from the running configuration");
+    const bool table_driven = d.b();
+    if (table_driven != (branches_ != nullptr))
+        throw SerializeError(
+            std::string("checkpoint was taken with ") +
+            (table_driven ? "table-driven" : "live") +
+            " branch prediction, this engine predicts " +
+            (branches_ != nullptr ? "from a branch table" : "live"));
     d.expectGeometry("fetch width", config_.fetchWidth);
     d.expectGeometry("ftq entries", config_.ftqEntries);
     d.expectGeometry("decode queue entries",
@@ -619,9 +635,8 @@ SimEngine::load(Deserializer &d)
     }
 
     m.walker.load(d);
-    m.tage.load(d);
-    m.btb.load(d);
-    m.ras.load(d);
+    if (branches_ == nullptr)
+        m.bp.load(d);
     m.mshr.load(d);
     m.hierarchy.load(d);
     m.entangler.load(d);
@@ -630,7 +645,12 @@ SimEngine::load(Deserializer &d)
     const std::size_t n_ftq = d.count(34);
     for (std::size_t i = 0; i < n_ftq; ++i) {
         FtqEntry entry;
-        loadBundle(d, entry.bundle);
+        entry.blk = d.u64();
+        entry.pc = d.u64();
+        entry.count = d.u8();
+        if (entry.count == 0 || entry.count > Bundle::kMaxInsts)
+            throw SerializeError("checkpoint bundle instruction count "
+                                 "out of range (corrupt payload)");
         entry.seq = d.u64();
         entry.redirectPenalty = d.u64();
         entry.prefetchConsidered = d.b();

@@ -19,6 +19,10 @@
  * is warmUp(total*warmupFraction) + measure(rest) and reproduces the
  * pre-refactor golden corpus byte-identically.
  *
+ * The clock is event-driven but exact: after a cycle in which no
+ * stage acted, the engine jumps to the next cycle on which one can
+ * (see advanceUntilRetired and DESIGN.md section 8, "Engine clock").
+ *
  * Phases compose: SharedWorkload::run (sim/runner.hh), the one batch
  * driver of this class, seeks a region cursor to (intervalStart - W),
  * warms W instructions, measures the interval in checkpointable
@@ -41,10 +45,9 @@
 #include "cache/mshr.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "frontend/btb.hh"
+#include "frontend/branch_unit.hh"
 #include "frontend/bundle.hh"
 #include "frontend/entangling.hh"
-#include "frontend/tage.hh"
 #include "sim/oracle.hh"
 #include "sim/sim_config.hh"
 #include "sim/simulator.hh"
@@ -52,10 +55,16 @@
 
 namespace acic {
 
-/** One FTQ entry: a fetch bundle plus BP bookkeeping. */
+/**
+ * One FTQ entry: a fetch bundle's block, first PC and size plus BP
+ * bookkeeping. The bundle's instructions are not kept: the BP unit
+ * has consumed their branch metadata by the time the entry is queued.
+ */
 struct FtqEntry
 {
-    Bundle bundle;
+    BlockAddr blk = 0;
+    Addr pc = 0;
+    std::uint8_t count = 0;     ///< instructions in the bundle
     std::uint64_t seq = 0;      ///< demand-sequence index
     Cycle redirectPenalty = 0;  ///< charged when the bundle is fetched
     bool prefetchConsidered = false;
@@ -68,9 +77,7 @@ struct MachineState
 
     // Front-end structures.
     BundleWalker walker;
-    Tage tage;
-    Btb btb;
-    ReturnAddressStack ras;
+    BranchUnit bp;
     MshrFile mshr;
     MemoryHierarchy hierarchy;
     EntanglingPrefetcher entangler;
@@ -136,9 +143,18 @@ class SimEngine
      * Bind to @p trace (reset; must outlive the engine), @p org, and
      * an optional @p oracle whose demand-sequence indices must align
      * with @p trace (build it over the same region the engine walks).
+     *
+     * With @p branches the engine is table-driven: the BP stage reads
+     * each bundle's outcome from the table by demand-sequence index,
+     * the index the oracle uses, and never touches TAGE/BTB/RAS. The
+     * table must cover @p trace from its first bundle with cold
+     * predictors (SharedWorkload::branchTable over wholeRun()).
+     * Without it the engine predicts live, through the same
+     * BranchUnit::predict that builds tables.
      */
     SimEngine(const SimConfig &config, TraceSource &trace,
-              IcacheOrg &org, const DemandOracle *oracle = nullptr);
+              IcacheOrg &org, const DemandOracle *oracle = nullptr,
+              const BranchTable *branches = nullptr);
 
     /**
      * Functionally warm the long-lived machine state by replaying
@@ -202,6 +218,13 @@ class SimEngine
     /** Cumulative cycles simulated. */
     Cycle cycles() const { return state_.cycle; }
 
+    /**
+     * Cycles actually stepped (stepCycle calls) by this engine
+     * object; the clock skips the rest (see advanceUntilRetired).
+     * Host-side work counter: not checkpointed.
+     */
+    std::uint64_t steps() const { return steps_; }
+
     const MachineState &state() const { return state_; }
 
     /** Payload tag of on-disk engine checkpoint containers. */
@@ -214,8 +237,10 @@ class SimEngine
      * constructed engine in a fresh process can load() and continue
      * to byte-identical final statistics. The stream starts with an
      * identity header (trace name/length, scheme name, oracle
-     * presence, core config) that load() validates, so a checkpoint
-     * can never resume into a mismatched run.
+     * presence, table-driven or live branch prediction, core config)
+     * that load() validates, so a checkpoint can never resume into a
+     * mismatched run. A table-driven engine has no predictor state
+     * to save.
      */
     void save(Serializer &s) const;
     void load(Deserializer &d);
@@ -225,7 +250,11 @@ class SimEngine
     void loadCheckpoint(const std::string &path);
 
   private:
-    void stepCycle();
+    /** Simulate one cycle; false when no stage acted in it. */
+    bool stepCycle();
+    /** Earliest cycle at which a stage can act again, after a cycle
+     *  in which none did. */
+    Cycle nextEvent() const;
     void advanceUntilRetired(std::uint64_t target);
     void latchSnapshot();
     void emitHeartbeat();
@@ -239,7 +268,9 @@ class SimEngine
     TraceSource &trace_;
     IcacheOrg &org_;
     const DemandOracle *oracle_;
+    const BranchTable *branches_;
     MachineState state_;
+    std::uint64_t steps_ = 0;
 
     /** Retire count at which the snapshot latches (warmup end). */
     std::uint64_t snapTarget_ = 0;

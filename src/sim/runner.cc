@@ -83,6 +83,28 @@ SharedWorkload::oracle() const
     return oracle_;
 }
 
+const BranchTable &
+SharedWorkload::branchTable() const
+{
+    std::call_once(branchesOnce_, [this] {
+        TelemetryScope span("runner.branches");
+        span.attr("workload", name());
+        MemoryTraceSource cursor(image_);
+        BundleWalker walker(cursor, config_.fetchWidth);
+        walker.reset();
+        BranchUnit bp(config_.btbEntries, config_.btbWays,
+                      config_.rasDepth);
+        Bundle bundle;
+        while (walker.next(bundle))
+            branches_.push_back(bp.predict(bundle));
+        branches_.shrink_to_fit();
+        if (span.live())
+            span.attr("bundles",
+                      static_cast<std::uint64_t>(branches_.size()));
+    });
+    return branches_;
+}
+
 SimResult
 SharedWorkload::run(const SchemeSpec &scheme) const
 {
@@ -137,8 +159,15 @@ SharedWorkload::run(IcacheOrg &org, const SimInterval &region,
             oracle = &local;
         }
     }
+    // The table starts from cold predictors at the first bundle of
+    // the trace, so it serves only a cursor over the whole trace
+    // with no functional warming in front of it.
+    const bool whole_trace = region.funcStart == 0 &&
+                             region.warmStart == 0 &&
+                             region.end == instructions();
     MemoryTraceSource cursor(image_, region.warmStart, region.end);
-    SimEngine engine(config_, cursor, org, oracle);
+    SimEngine engine(config_, cursor, org, oracle,
+                     whole_trace ? &branchTable() : nullptr);
     // Functionally replay the prefix (bounded by the planning
     // horizon) to warm predictors, organization metadata, and the
     // L2/L3 before the timed warmup region.

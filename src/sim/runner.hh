@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "cache/icache_org.hh"
+#include "frontend/branch_unit.hh"
 #include "sim/oracle.hh"
 #include "sim/scheme.hh"
 #include "sim/sim_config.hh"
@@ -155,8 +156,13 @@ class SharedWorkload
      * region.warmStart, see buildIntervalOracle); otherwise, with
      * the oracle enabled, the shared whole-trace oracle() for
      * wholeRun() and a freshly built region-local oracle for any
-     * other region. Safe to call from any thread as long as @p org
-     * is not shared across threads.
+     * other region.
+     *
+     * Branch prediction: a region whose timed cursor is the whole
+     * trace with nothing functionally warmed before it (wholeRun())
+     * reads the shared branchTable(); any other region predicts live.
+     * Safe to call from any thread as long as @p org is not shared
+     * across threads.
      */
     SimResult run(IcacheOrg &org, const SimInterval &region,
                   const DemandOracle *oracle = nullptr,
@@ -187,6 +193,16 @@ class SharedWorkload
      */
     const DemandOracle &oracle() const;
 
+    /**
+     * The BranchOutcome of every bundle of the whole trace under
+     * config()'s predictors, built on first use (thread-safe). It
+     * is independent of the cache organization, so every scheme run
+     * over wholeRun() shares it instead of re-running TAGE/BTB/RAS.
+     * Built separately from oracle(), so a caller that only wants
+     * the oracle does not pay for it.
+     */
+    const BranchTable &branchTable() const;
+
     const SimConfig &config() const { return config_; }
     const std::string &name() const { return image_->name; }
     std::uint64_t instructions() const { return image_->instructions; }
@@ -197,6 +213,8 @@ class SharedWorkload
     bool useOracle_;
     mutable std::once_flag oracleOnce_;
     mutable DemandOracle oracle_;
+    mutable std::once_flag branchesOnce_;
+    mutable BranchTable branches_;
 };
 
 } // namespace acic

@@ -74,11 +74,13 @@ warmupOf(const SharedWorkload &shared)
  * Run @p spec with a checkpoint at @p cut measured instructions: the
  * first engine stops mid-measure and serializes, a second engine —
  * fresh organization, fresh trace cursor, nothing carried over but
- * the byte stream — loads and finishes the run.
+ * the byte stream — loads and finishes the run. Both engines predict
+ * branches live, or both read @p branches.
  */
 SimResult
 runWithCheckpoint(const SharedWorkload &shared,
-                  const SchemeSpec &spec, std::uint64_t cut)
+                  const SchemeSpec &spec, std::uint64_t cut,
+                  const BranchTable *branches = nullptr)
 {
     const std::uint64_t warm = warmupOf(shared);
     const std::uint64_t measured = shared.instructions() - warm;
@@ -88,7 +90,7 @@ runWithCheckpoint(const SharedWorkload &shared,
         auto org = makeScheme(spec, shared.config());
         MemoryTraceSource cursor = shared.source();
         SimEngine engine(shared.config(), cursor, *org,
-                         &shared.oracle());
+                         &shared.oracle(), branches);
         engine.warmUp(warm);
         engine.measure(cut);
         engine.save(s);
@@ -96,7 +98,7 @@ runWithCheckpoint(const SharedWorkload &shared,
     auto org = makeScheme(spec, shared.config());
     MemoryTraceSource cursor = shared.source();
     SimEngine engine(shared.config(), cursor, *org,
-                     &shared.oracle());
+                     &shared.oracle(), branches);
     Deserializer d(s.bytes());
     engine.load(d);
     d.finish();
@@ -132,16 +134,21 @@ TEST(CheckpointRoundTrip, EveryPresetBitIdenticalAtRandomInstants)
     ASSERT_GT(measured, 2u);
 
     // Seeded, so failures replay; distinct per-preset instants, so
-    // one lucky cut cannot mask a phase-dependent bug.
+    // one lucky cut cannot mask a phase-dependent bug. Each cut
+    // round-trips a live-predicting engine and a table-driven one.
     std::mt19937_64 rng(0xAC1CAC1Cull);
     for (const SchemeSpec &spec : allSchemes()) {
         const SimResult whole = shared.run(spec);
         const std::uint64_t cut = 1 + rng() % (measured - 1);
-        const SimResult resumed =
-            runWithCheckpoint(shared, spec, cut);
-        EXPECT_EQ(golden(whole), golden(resumed))
+        const SimResult live = runWithCheckpoint(shared, spec, cut);
+        EXPECT_EQ(golden(whole), golden(live))
             << spec.toString() << " diverged after resuming at "
             << cut << " measured instructions";
+        const SimResult tabled =
+            runWithCheckpoint(shared, spec, cut, &shared.branchTable());
+        EXPECT_EQ(golden(whole), golden(tabled))
+            << spec.toString() << " (branch table) diverged after "
+            << "resuming at " << cut << " measured instructions";
     }
 }
 
@@ -184,7 +191,8 @@ TEST(CheckpointRoundTrip, RunCheckpointedResumesFromInflightFile)
 {
     // The driver-facing primitive: interrupt by saving an in-flight
     // file mid-run, then let the one run function find and finish
-    // it.
+    // it. run() drives wholeRun() from the shared branch table, so
+    // the interrupted engine does too.
     const SharedWorkload &shared = workload();
     const SchemeSpec spec = parseScheme("lru");
     const std::string path = "acic_test_inflight.ckpt";
@@ -195,7 +203,7 @@ TEST(CheckpointRoundTrip, RunCheckpointedResumesFromInflightFile)
         auto org = makeScheme(spec, shared.config());
         MemoryTraceSource cursor = shared.source();
         SimEngine engine(shared.config(), cursor, *org,
-                         &shared.oracle());
+                         &shared.oracle(), &shared.branchTable());
         engine.warmUp(warm);
         engine.measure(7'321);
         engine.saveCheckpoint(path);
@@ -320,6 +328,47 @@ TEST(CheckpointIdentity, RefusesForeignWorkloadAndScheme)
                          &shared.oracle());
         Deserializer d(s.bytes());
         EXPECT_THROW(engine.load(d), SerializeError);
+    }
+}
+
+TEST(CheckpointIdentity, RefusesTheOtherBranchPredictionMode)
+{
+    // A table-driven engine saves no predictor state, so its
+    // checkpoint cannot resume a live-predicting engine, nor the
+    // other way round; either mismatch names the two modes.
+    const SharedWorkload &shared = workload();
+    const SchemeSpec lru = parseScheme("lru");
+    const BranchTable *modes[] = {nullptr, &shared.branchTable()};
+    for (const BranchTable *saved : modes) {
+        Serializer s;
+        {
+            auto org = makeScheme(lru, shared.config());
+            MemoryTraceSource cursor = shared.source();
+            SimEngine engine(shared.config(), cursor, *org,
+                             &shared.oracle(), saved);
+            engine.warmUp(warmupOf(shared));
+            engine.measure(500);
+            engine.save(s);
+        }
+        const BranchTable *other =
+            saved == nullptr ? &shared.branchTable() : nullptr;
+        auto org = makeScheme(lru, shared.config());
+        MemoryTraceSource cursor = shared.source();
+        SimEngine engine(shared.config(), cursor, *org,
+                         &shared.oracle(), other);
+        Deserializer d(s.bytes());
+        try {
+            engine.load(d);
+            FAIL() << "expected a branch-prediction mode rejection";
+        } catch (const SerializeError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(saved ? "table-driven" : "live"),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("branch prediction"),
+                      std::string::npos)
+                << what;
+        }
     }
 }
 

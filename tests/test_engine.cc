@@ -6,12 +6,16 @@
  * snapshot must latch exactly once — including under the
  * ACIC_TRACE_LEN override, where tiny trace lengths drive
  * warmupFraction to degenerate values — and mergeSimResults() must
- * recompute derived rates from summed counters.
+ * recompute derived rates from summed counters. The two exact
+ * shortcuts of the engine are checked against the slow way: the
+ * skipping clock against stepping every cycle, and the shared branch
+ * table against live prediction.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -269,3 +273,107 @@ TEST(SimEngine, FullWarmupShardsMergeToFullRunUpToSeamCycles)
     near(merged.latePrefetches, full.latePrefetches, 32, "late");
 }
 
+namespace {
+
+/**
+ * Forwards the whole IcacheOrg surface to a wrapped organization but
+ * keeps its own tickWake_ at 0: every cycle dispatches tick(), which
+ * counts as a stage acting, so the engine steps every cycle. tick()
+ * hands the decision back to the wrapped organization's maybeTick(),
+ * which ticks on exactly the cycles it would undecorated.
+ */
+class EveryCycleOrg final : public IcacheOrg
+{
+  public:
+    explicit EveryCycleOrg(std::unique_ptr<IcacheOrg> inner)
+        : inner_(std::move(inner))
+    {
+        tickWake_ = 0;
+    }
+
+    bool access(const CacheAccess &a) override { return inner_->access(a); }
+    void fill(const CacheAccess &a) override { inner_->fill(a); }
+    bool contains(BlockAddr blk) const override
+    {
+        return inner_->contains(blk);
+    }
+    void tick(Cycle now) override { inner_->maybeTick(now); }
+    std::string name() const override { return inner_->name(); }
+    std::uint64_t storageOverheadBits() const override
+    {
+        return inner_->storageOverheadBits();
+    }
+    const StatSet &stats() const override { return inner_->stats(); }
+    void save(Serializer &s) const override { inner_->save(s); }
+    void load(Deserializer &d) override { inner_->load(d); }
+
+  private:
+    std::unique_ptr<IcacheOrg> inner_;
+};
+
+} // namespace
+
+TEST(Engine, SkippedClockMatchesEveryCycle)
+{
+    const SharedWorkload &shared = workload();
+    const std::uint64_t total = shared.instructions();
+    const std::uint64_t warmup = total / 10;
+    for (const PrefetcherKind prefetcher :
+         {PrefetcherKind::Fdp, PrefetcherKind::Entangling,
+          PrefetcherKind::None}) {
+        SimConfig config = shared.config();
+        config.prefetcher = prefetcher;
+        for (const char *spec :
+             {"lru", "acic", "opt_bypass", "harmony", "vvc"}) {
+            const std::string what =
+                std::string(spec) + " prefetcher " +
+                std::to_string(static_cast<int>(prefetcher));
+            auto org = makeScheme(parseScheme(spec), config);
+            MemoryTraceSource cursor = shared.source();
+            SimEngine skipping(config, cursor, *org, &shared.oracle());
+            skipping.warmUp(warmup);
+            skipping.measure(total - warmup);
+
+            EveryCycleOrg every_org(makeScheme(parseScheme(spec), config));
+            MemoryTraceSource every_cursor = shared.source();
+            SimEngine every(config, every_cursor, every_org,
+                            &shared.oracle());
+            every.warmUp(warmup);
+            every.measure(total - warmup);
+
+            EXPECT_EQ(dumpOf(skipping.finish()), dumpOf(every.finish()))
+                << what;
+            EXPECT_EQ(every.steps(), every.cycles()) << what;
+            EXPECT_EQ(skipping.cycles(), every.cycles()) << what;
+            EXPECT_LT(skipping.steps(), every.steps()) << what;
+        }
+    }
+}
+
+TEST(Engine, BranchTableMatchesLivePrediction)
+{
+    std::vector<WorkloadParams> presets = Workloads::datacenter();
+    for (const WorkloadParams &p : Workloads::spec())
+        presets.push_back(p);
+    for (WorkloadParams params : presets) {
+        params.instructions = 40'000;
+        const SharedWorkload shared(params);
+        const std::uint64_t total = shared.instructions();
+        const std::uint64_t warmup = shared.wholeRun().warmup();
+        const auto simulate = [&](const BranchTable *branches) {
+            auto org = makeScheme(parseScheme("acic"), shared.config());
+            MemoryTraceSource cursor = shared.source();
+            SimEngine engine(shared.config(), cursor, *org,
+                             &shared.oracle(), branches);
+            engine.warmUp(warmup);
+            engine.measure(total - warmup);
+            return dumpOf(engine.finish());
+        };
+        const std::string predicted = simulate(nullptr);
+        EXPECT_EQ(predicted, simulate(&shared.branchTable()))
+            << params.name;
+        // run() over wholeRun() reads the table.
+        EXPECT_EQ(predicted, dumpOf(shared.run(parseScheme("acic"))))
+            << params.name;
+    }
+}

@@ -24,6 +24,7 @@
 #include "common/json.hh"
 #include "common/telemetry.hh"
 #include "driver/emitters.hh"
+#include "driver/experiment.hh"
 #include "driver/report.hh"
 #include "sim/runner.hh"
 #include "trace/workload_params.hh"
@@ -280,6 +281,43 @@ TEST(Telemetry, ResultsAreByteIdenticalWithTelemetryOn)
     }
     EXPECT_EQ(off_lru, on_lru);
     EXPECT_EQ(off_acic, on_acic);
+}
+
+TEST(TelemetryReport, EngineClockIsTheSameAtAnyThreadCount)
+{
+    // Cycles and stepped cycles are deterministic work counters: the
+    // engine.warmUp/engine.measure spans carry them, and the report's
+    // clock table must read the same from a serial and a parallel
+    // run of one matrix.
+    const auto clockTable = [](unsigned threads) {
+        ExperimentSpec spec;
+        spec.workloads = {smallWorkload(60'000),
+                          Workloads::byName("tpcc")};
+        spec.workloads[1].params.instructions = 60'000;
+        spec.schemes = parseSchemeList("lru,acic");
+        spec.threads = threads;
+        std::string jsonl;
+        {
+            TelemetrySession session;
+            ExperimentDriver driver(spec);
+            (void)driver.run();
+            jsonl = session.finish();
+        }
+        std::istringstream in(jsonl);
+        std::ostringstream out;
+        std::string error;
+        EXPECT_TRUE(writeTelemetryReport(in, out, ReportOptions{}, error))
+            << error;
+        const std::string text = out.str();
+        const std::size_t at = text.find("Engine clock");
+        EXPECT_NE(at, std::string::npos) << text;
+        return at == std::string::npos
+                   ? std::string()
+                   : text.substr(at, text.find("\n\n", at) - at);
+    };
+    const std::string serial = clockTable(1);
+    EXPECT_NE(serial.find("engine.measure"), std::string::npos) << serial;
+    EXPECT_EQ(serial, clockTable(4));
 }
 
 TEST(JsonParser, ParsesScalarsContainersAndEscapes)
