@@ -9,8 +9,10 @@
  * lanes; the wide path only dispatches from kWideLaneThreshold = 32
  * lanes up) and the trace decoder (scalar next() vs the block
  * acquireRun() the simulator pulls through, over a loaded file and
- * over an image encoded in memory). These guard the simulator's own
- * performance (host-side), not the simulated machine.
+ * over an image encoded in memory) — and the checkpoint layer: CRC-32
+ * over 1 MiB and one engine image serialized and checksummed. These
+ * guard the simulator's own performance (host-side), not the
+ * simulated machine.
  */
 
 #include <benchmark/benchmark.h>
@@ -22,10 +24,14 @@
 #include "cache/lru.hh"
 #include "cache/set_assoc.hh"
 #include "common/rng.hh"
+#include "common/serialize.hh"
 #include "common/tagscan.hh"
 #include "core/admission_predictor.hh"
 #include "core/cshr.hh"
 #include "core/ifilter.hh"
+#include "sim/engine.hh"
+#include "sim/runner.hh"
+#include "sim/scheme.hh"
 #include "trace/io.hh"
 #include "trace/memory.hh"
 #include "trace/synthetic.hh"
@@ -240,6 +246,52 @@ BM_TraceGeneration(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TraceGeneration);
+
+/** CRC-32 over 1 MiB: the checksum every checkpoint save and load
+ *  pays over its whole payload. */
+void
+BM_Crc32(benchmark::State &state)
+{
+    std::vector<std::uint8_t> buf(1u << 20);
+    Rng rng(17);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(rng.next());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(crc32(buf.data(), buf.size()));
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32);
+
+/** One engine image (acic on web_search, mid-measure) streamed and
+ *  checksummed chunk by chunk: SimEngine::saveCheckpoint without the
+ *  file write. */
+void
+BM_CheckpointSave(benchmark::State &state)
+{
+    WorkloadParams params = Workloads::byName("web_search");
+    params.instructions = 200'000;
+    const SharedWorkload shared(params);
+    auto org = makeScheme(parseScheme("acic"), shared.config());
+    MemoryTraceSource cursor = shared.source();
+    SimEngine engine(shared.config(), cursor, *org, &shared.oracle());
+    engine.warmUp(params.instructions / 10);
+    engine.measure(params.instructions / 2);
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        std::uint32_t crc = 0;
+        Serializer s([&crc](const std::uint8_t *data, std::size_t n) {
+            crc = crc32(data, n, crc);
+        });
+        engine.save(s);
+        s.flush();
+        bytes = s.size();
+        benchmark::DoNotOptimize(crc);
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_CheckpointSave)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -471,9 +471,10 @@ const char *const kReportHelp =
     "maxima, share of wall), the slowest (workload, scheme) cells\n"
     "by summed simulation seconds, heartbeat rolling-window\n"
     "aggregates (instruction-weighted window MPKI/IPC, aggregate\n"
-    "Minst/s), and pool-gauge ranges. Lines that do not parse —\n"
-    "e.g. the truncated tail of a killed run — are skipped and\n"
-    "counted, not fatal.\n"
+    "Minst/s), the engine clock, engine checkpoint saves and loads\n"
+    "(MiB and ms per image, MiB/s), and pool-gauge ranges. Lines\n"
+    "that do not parse — e.g. the truncated tail of a killed run —\n"
+    "are skipped and counted, not fatal.\n"
     "\n"
     "options:\n"
     "  --top N   rows of the slowest-cells table (default 10)\n"

@@ -68,18 +68,19 @@ inflightFilePath(const std::string &dir, std::size_t w,
 /**
  * Publish one finished cell to its "CELL" container: the identity
  * (workload and canonical scheme spec, validated on reload), the full
- * SimResult, and the host seconds. Atomic via writeCheckpointFile.
+ * SimResult, and the host seconds. Atomic via CheckpointWriter.
  */
 void
 writeCellFile(const std::string &path, const ExperimentSpec &spec,
               const CellResult &cell)
 {
-    Serializer s;
+    CheckpointWriter out(path, kCellTag);
+    Serializer &s = out.payload();
     s.str(spec.workloads[cell.workloadIndex].name());
     s.str(spec.schemes[cell.schemeIndex].toString());
     cell.result.save(s);
     s.f64(cell.hostSeconds);
-    writeCheckpointFile(path, kCellTag, s.take());
+    out.commit();
 }
 
 /**

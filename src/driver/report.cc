@@ -39,6 +39,14 @@ struct ClockStats
     double steps = 0.0;
 };
 
+/** Engine images saved or loaded, with their bytes and time. */
+struct CheckpointStats
+{
+    std::uint64_t images = 0;
+    double bytes = 0.0;
+    std::uint64_t totalUs = 0;
+};
+
 /** Running min/mean/max of one gauge name. */
 struct GaugeStats
 {
@@ -77,6 +85,7 @@ writeTelemetryReport(std::istream &in, std::ostream &out,
     std::map<std::pair<std::string, std::string>, CellStats> cells;
     std::map<std::string, GaugeStats> gauges;
     std::map<std::string, ClockStats> clocks;
+    CheckpointStats saves, loads;
 
     // Heartbeat aggregates, instruction-weighted where a mean over
     // windows would over-count short ones.
@@ -139,6 +148,17 @@ writeTelemetryReport(std::istream &in, std::ostream &out,
                     c.insts += attrs->num("target_insts");
                     c.cycles += attrs->num("cycles");
                     c.steps += attrs->num("steps");
+                }
+            }
+            if (name == "engine.saveCheckpoint" ||
+                name == "engine.loadCheckpoint") {
+                const json::Value *attrs = ev.find("attrs");
+                if (attrs && attrs->find("bytes")) {
+                    CheckpointStats &c =
+                        name == "engine.saveCheckpoint" ? saves : loads;
+                    ++c.images;
+                    c.bytes += attrs->num("bytes");
+                    c.totalUs += durUs;
                 }
             }
         } else if (kind == "count") {
@@ -277,6 +297,28 @@ writeTelemetryReport(std::istream &in, std::ostream &out,
                           perKinst(c.steps, c.insts)});
         table.addNote("a step is one simulated cycle; the clock jumps "
                       "over cycles in which no stage can act");
+        out << table.str() << "\n";
+    }
+
+    if (saves.images + loads.images > 0) {
+        TablePrinter table("Checkpoints (engine images)");
+        table.setHeader({"op", "images", "MiB/image", "ms/image",
+                         "MiB/s"});
+        for (const auto &[op, c] : {std::pair{"save", saves},
+                                    std::pair{"load", loads}}) {
+            if (c.images == 0)
+                continue;
+            const double n = static_cast<double>(c.images);
+            const double mib = c.bytes / (1024.0 * 1024.0);
+            const double us = static_cast<double>(c.totalUs);
+            table.addRow({op, std::to_string(c.images),
+                          TablePrinter::fmt(mib / n, 2),
+                          TablePrinter::fmt(us / 1e3 / n, 2),
+                          us > 0.0 ? TablePrinter::fmt(mib / us * 1e6, 0)
+                                   : "-"});
+        }
+        table.addNote("a save serializes, checksums and writes one "
+                      "file; a load reads, checks and restores it");
         out << table.str() << "\n";
     }
 

@@ -710,9 +710,12 @@ SimEngine::saveCheckpoint(const std::string &path) const
         span.attr("retired", state_.retired);
         span.attr("path", path);
     }
-    Serializer s;
-    save(s);
-    writeCheckpointFile(path, kCheckpointTag, s.bytes());
+    CheckpointWriter out(path, kCheckpointTag);
+    save(out.payload());
+    out.commit();
+    span.attr("bytes",
+              static_cast<std::uint64_t>(CheckpointFormat::kHeaderBytes +
+                                         out.payload().size()));
 }
 
 void
@@ -726,6 +729,9 @@ SimEngine::loadCheckpoint(const std::string &path)
     }
     const std::vector<std::uint8_t> payload =
         readCheckpointFile(path, kCheckpointTag);
+    span.attr("bytes",
+              static_cast<std::uint64_t>(CheckpointFormat::kHeaderBytes +
+                                         payload.size()));
     Deserializer d(payload);
     load(d);
     d.finish();

@@ -245,7 +245,10 @@ class SimEngine
     void save(Serializer &s) const;
     void load(Deserializer &d);
 
-    /** save()/load() through an "ENGN" checkpoint file at @p path. */
+    /**
+     * save()/load() through an "ENGN" checkpoint file at @p path.
+     * Their telemetry spans carry the file's size as `bytes`.
+     */
     void saveCheckpoint(const std::string &path) const;
     void loadCheckpoint(const std::string &path);
 

@@ -50,6 +50,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/serialize.hh"
 #include "trace/trace.hh"
 
 namespace acic {
@@ -102,27 +103,6 @@ zigzagDecode(std::uint64_t v)
 {
     return static_cast<std::int64_t>(v >> 1) ^
            -static_cast<std::int64_t>(v & 1);
-}
-
-/** Append @p v as sizeof(T) little-endian bytes (the fixed-width
- *  header, frame and footer fields). */
-template <typename T>
-inline void
-putLE(std::vector<std::uint8_t> &buf, T v)
-{
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-/** Load a sizeof(T)-byte little-endian integer from @p p. */
-template <typename T>
-inline T
-loadLE(const std::uint8_t *p)
-{
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        v = static_cast<T>(v | static_cast<T>(p[i]) << (8 * i));
-    return v;
 }
 
 /**

@@ -14,6 +14,10 @@
  *    with its own diagnostic, never silently loaded.
  *  - Identity hardening: a checkpoint taken over one workload or
  *    scheme must refuse to resume a different one.
+ *  - Format pins: CRC-32 known answers and a byte-at-a-time
+ *    reference at every short length and alignment, and the length
+ *    and CRC of one engine image recorded from version 1 of the
+ *    format, so a faster writer cannot change a byte on disk.
  *  - Driver checkpointing: completed cells persist into
  *    --checkpoint-dir files, a rerun preloads them bit-identically
  *    without resimulating, and shard partitions are disjoint,
@@ -29,6 +33,13 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#if defined(__unix__)
+#include <csignal>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+#endif
 
 #include "common/serialize.hh"
 #include "driver/emitters.hh"
@@ -576,3 +587,185 @@ TEST(CheckpointSimResult, SaveLoadRoundTripsEveryField)
     EXPECT_EQ(a.workload, b.workload);
     EXPECT_EQ(a.scheme, b.scheme);
 }
+
+namespace {
+
+/** The byte-at-a-time CRC-32 the sliced kernel must agree with. */
+std::uint32_t
+crc32Bytewise(const std::uint8_t *p, std::size_t n)
+{
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+} // namespace
+
+TEST(CheckpointCrc, KnownAnswers)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(crc32(nullptr, 0), 0u);
+    EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(CheckpointCrc, SlicedMatchesBytewiseAtEveryLengthAndOffset)
+{
+    // Every length below two 8-byte slices plus a tail, at every
+    // alignment of the start, then one long buffer.
+    std::mt19937 rng(0xC8C32u);
+    std::vector<std::uint8_t> buf(4099);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(rng());
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t length = 0; length <= 17; ++length)
+            EXPECT_EQ(crc32(buf.data() + offset, length),
+                      crc32Bytewise(buf.data() + offset, length))
+                << "offset " << offset << ", length " << length;
+    EXPECT_EQ(crc32(buf.data(), buf.size()),
+              crc32Bytewise(buf.data(), buf.size()));
+    // Continuing a CRC over a split buffer gives the whole one.
+    for (const std::size_t cut : {0, 5, 4096})
+        EXPECT_EQ(crc32(buf.data() + cut, buf.size() - cut,
+                        crc32(buf.data(), cut)),
+                  crc32(buf.data(), buf.size()))
+            << "split at " << cut;
+}
+
+TEST(CheckpointSerializer, StreamedChunksEqualTheBufferedBytes)
+{
+    // Small fields across chunk boundaries, and vectors and strings
+    // larger than a chunk: the chunks a sink receives concatenate to
+    // the bytes a buffering serializer holds.
+    const auto fill = [](Serializer &s) {
+        std::vector<std::uint64_t> big(Serializer::kChunkBytes / 8 + 3);
+        for (std::size_t i = 0; i < big.size(); ++i)
+            big[i] = i * 0x9E3779B97F4A7C15ull;
+        for (int i = 0; i < 40'000; ++i) {
+            s.u8(static_cast<std::uint8_t>(i));
+            s.u32(static_cast<std::uint32_t>(i * 7));
+            s.u64(static_cast<std::uint64_t>(i) << 33);
+        }
+        s.vecU64(big);
+        s.str(std::string(Serializer::kChunkBytes + 1, 'x'));
+        s.u16(0xBEEF);
+    };
+    Serializer buffered;
+    fill(buffered);
+    std::vector<std::uint8_t> streamed;
+    std::size_t chunks = 0;
+    Serializer streaming([&](const std::uint8_t *data, std::size_t n) {
+        streamed.insert(streamed.end(), data, data + n);
+        ++chunks;
+    });
+    fill(streaming);
+    streaming.flush();
+    EXPECT_GT(chunks, 2u);
+    EXPECT_EQ(streaming.size(), buffered.size());
+    EXPECT_TRUE(streamed == buffered.bytes());
+}
+
+TEST(CheckpointFormat, EngineImageBytesAreVersionOneAndLoad)
+{
+    // One engine image at a fixed instant: web_search at 60K
+    // instructions under acic, after warmUp and 20K measured
+    // instructions. Its payload length and CRC were recorded from a
+    // version-1 writer that stored one byte at a time; equal length
+    // and CRC mean the image is that writer's image byte for byte,
+    // so loading it proves an image written by version 1 still
+    // loads and finishes to the uninterrupted run's statistics.
+    constexpr std::uint64_t kPayloadBytes = 2'082'390;
+    constexpr std::uint32_t kPayloadCrc = 0xDD773797u;
+    static_assert(CheckpointFormat::kVersion == 1,
+                  "a new format version needs new recorded images");
+
+    WorkloadParams params = Workloads::byName("web_search");
+    params.instructions = 60'000;
+    const SharedWorkload shared(params);
+    const SchemeSpec spec = parseScheme("acic");
+    const std::uint64_t warm = warmupOf(shared);
+    const std::uint64_t cut = 20'000;
+    const std::string path = "acic_test_pinned.ckpt";
+    {
+        auto org = makeScheme(spec, shared.config());
+        MemoryTraceSource cursor = shared.source();
+        SimEngine engine(shared.config(), cursor, *org,
+                         &shared.oracle());
+        engine.warmUp(warm);
+        engine.measure(cut);
+        engine.saveCheckpoint(path);
+    }
+    const std::vector<std::uint8_t> file = readAll(path);
+    ASSERT_GE(file.size(), CheckpointFormat::kHeaderBytes);
+    const std::uint8_t *payload =
+        file.data() + CheckpointFormat::kHeaderBytes;
+    const std::size_t length =
+        file.size() - CheckpointFormat::kHeaderBytes;
+    EXPECT_EQ(length, kPayloadBytes);
+    EXPECT_EQ(crc32Bytewise(payload, length), kPayloadCrc);
+    Deserializer header(file.data(), CheckpointFormat::kHeaderBytes);
+    EXPECT_EQ(std::string(file.begin(), file.begin() + 4), "ACKP");
+    EXPECT_EQ(std::string(file.begin() + 6, file.begin() + 10), "ENGN");
+    header.u32();
+    EXPECT_EQ(header.u16(), 1u);
+    header.u32();
+    EXPECT_EQ(header.u64(), kPayloadBytes);
+    EXPECT_EQ(header.u32(), kPayloadCrc);
+
+    auto org = makeScheme(spec, shared.config());
+    MemoryTraceSource cursor = shared.source();
+    SimEngine engine(shared.config(), cursor, *org, &shared.oracle());
+    engine.loadCheckpoint(path);
+    engine.measure(shared.instructions() - warm - cut);
+    EXPECT_EQ(golden(shared.run(spec)), golden(engine.finish()));
+    std::remove(path.c_str());
+}
+
+#if defined(__unix__)
+TEST(CheckpointContainer, FailedWriteLeavesNoTempFile)
+{
+    // A child process lowers its own file-size limit below the image
+    // and ignores SIGXFSZ, so the write fails with EFBIG instead of
+    // killing it; the writer must throw and remove its temp file.
+    namespace fs = std::filesystem;
+    const fs::path dir = "acic_test_failed_write";
+    fs::remove_all(dir);
+    fs::create_directory(dir);
+    const std::string path = (dir / "cell.ckpt").string();
+
+    const pid_t child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        std::signal(SIGXFSZ, SIG_IGN);
+        rlimit limit{};
+        if (getrlimit(RLIMIT_FSIZE, &limit) != 0)
+            _exit(3);
+        limit.rlim_cur = 4096;
+        if (setrlimit(RLIMIT_FSIZE, &limit) != 0)
+            _exit(3);
+        const std::vector<std::uint8_t> payload(64 * 1024, 0xA5);
+        try {
+            CheckpointWriter out(path, "CELL");
+            out.payload().raw(payload.data(), payload.size());
+            out.commit();
+        } catch (const SerializeError &) {
+            _exit(0);
+        }
+        _exit(1);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "1: the over-limit write did not throw; 3: setrlimit failed";
+    std::vector<std::string> left;
+    for (const auto &entry : fs::directory_iterator(dir))
+        left.push_back(entry.path().filename().string());
+    EXPECT_TRUE(left.empty())
+        << "left behind: " << ::testing::PrintToString(left);
+    fs::remove_all(dir);
+}
+#endif

@@ -15,6 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "common/table.hh"
 #include "common/telemetry.hh"
 #include "driver/emitters.hh"
 #include "driver/experiment.hh"
@@ -318,6 +322,77 @@ TEST(TelemetryReport, EngineClockIsTheSameAtAnyThreadCount)
     const std::string serial = clockTable(1);
     EXPECT_NE(serial.find("engine.measure"), std::string::npos) << serial;
     EXPECT_EQ(serial, clockTable(4));
+}
+
+TEST(TelemetryReport, CheckpointTableCountsSavesAndLoads)
+{
+    // A run that saves an in-flight image every 20K instructions,
+    // then a rerun that resumes from the last one: the spans carry
+    // each file's size as `bytes`, and the report's checkpoint table
+    // counts the images and averages their size.
+    SharedWorkload workload(smallWorkload(60'000));
+    const std::string path = "acic_test_report.ckpt";
+    std::remove(path.c_str());
+    const InflightCheckpoint inflight{path, 20'000};
+    std::string jsonl;
+    {
+        TelemetrySession session;
+        auto first = makeScheme(parseScheme("acic"), workload.config());
+        (void)workload.run(*first, workload.wholeRun(), nullptr,
+                           &inflight);
+        auto second = makeScheme(parseScheme("acic"), workload.config());
+        const InflightCheckpoint resume{path, 0};
+        (void)workload.run(*second, workload.wholeRun(), nullptr,
+                           &resume);
+        jsonl = session.finish();
+    }
+    const double mib =
+        static_cast<double>(std::filesystem::file_size(path)) /
+        (1024.0 * 1024.0);
+    std::remove(path.c_str());
+
+    std::uint64_t saves = 0, loads = 0;
+    for (const json::Value &ev : parseAll(splitLines(jsonl))) {
+        const std::string name = ev.text("name");
+        if (name != "engine.saveCheckpoint" &&
+            name != "engine.loadCheckpoint")
+            continue;
+        const json::Value *attrs = ev.find("attrs");
+        ASSERT_NE(attrs, nullptr);
+        EXPECT_NEAR(attrs->num("bytes") / (1024.0 * 1024.0), mib, 0.05)
+            << name;
+        ++(name == "engine.saveCheckpoint" ? saves : loads);
+    }
+    // 54K measured instructions in 20K chunks: saves after the first
+    // two; the rerun loads the second and finishes without saving.
+    EXPECT_EQ(saves, 2u);
+    EXPECT_EQ(loads, 1u);
+
+    std::istringstream in(jsonl);
+    std::ostringstream out;
+    std::string error;
+    ASSERT_TRUE(writeTelemetryReport(in, out, ReportOptions{}, error))
+        << error;
+    const std::string text = out.str();
+    const std::size_t at = text.find("Checkpoints");
+    ASSERT_NE(at, std::string::npos) << text;
+    const std::string table = text.substr(at, text.find("\n\n", at) - at);
+    // Rows read: op, images, MiB/image, ms/image, MiB/s.
+    std::map<std::string, std::vector<std::string>> rows;
+    std::istringstream lines(table);
+    for (std::string line; std::getline(lines, line);) {
+        std::istringstream cells(line);
+        std::vector<std::string> row;
+        for (std::string cell; cells >> cell;)
+            row.push_back(cell);
+        if (row.size() == 5)
+            rows[row[0]] = row;
+    }
+    ASSERT_TRUE(rows.count("save") && rows.count("load")) << table;
+    EXPECT_EQ(rows["save"][1], "2");
+    EXPECT_EQ(rows["load"][1], "1");
+    EXPECT_NEAR(std::stod(rows["save"][2]), mib, 0.05) << table;
+    EXPECT_EQ(rows["load"][2], TablePrinter::fmt(mib, 2)) << table;
 }
 
 TEST(JsonParser, ParsesScalarsContainersAndEscapes)
